@@ -6,144 +6,32 @@ complex multiplication.  This package computes the ideal class group of
 Q(sqrt(-m)) as reduced binary quadratic forms, builds from it a free
 generating set indexed by the split primes, and decomposes arbitrary
 triples over that basis with exact verification.
+
+The submodules (quadfield, classgroup, triples, basis, decompose) expose
+the layers of that pipeline; the names below are the documented API and
+the errors behind the command line's exit codes.
 """
 
-from .basis import (
-    BasisElement,
-    BasisTable,
-    Category,
-    ExpEntry,
-    NotTwoTorsionError,
-    beta,
-    split_primes,
-    two_torsion_primes,
-    default_table,
-    enumerate_basis,
-    exponent_vector,
-    two_torsion_triple,
-    solve_norm_equation,
-    special_four_element,
-)
-from .classgroup import (
-    ClassGroupTable,
-    DiscriminantMismatchError,
-    FormClass,
-    Pillar,
-    PillarConfigError,
-    QuotientData,
-    class_mod_two_torsion,
-    class_of_prime,
-    compose_forms,
-    enumerate_class_group,
-    form_inverse,
-    form_pow,
-    group_structure,
-    primary_structure,
-    principal_form,
-    quotient_setup,
-    reduce_form,
-    two_torsion,
-)
-from .decompose import (
-    Decomposition,
-    DecompositionError,
-    GeneratorUnavailableError,
-    PrimeIdealRef,
-    decompose,
-    ideal_valuations,
-    recombine,
-)
-from .quadfield import (
-    InvalidModulusError,
-    Modulus,
-    PrimeSplitInfo,
-    QuadInt,
-    SplitKind,
-    kronecker,
-    qi_conj,
-    qi_mul,
-    qi_norm,
-    splitting_type,
-    sqrt_mod,
-)
-from .triples import (
-    ModulusMismatchError,
-    NotASolutionError,
-    Triple,
-    add,
-    identity,
-    negate,
-    normalize,
-    parse_triple,
-    scalar_mul,
-)
+from .basis import BasisTable
+from .classgroup import PillarConfigError
+from .decompose import DecompositionError, decompose, recombine
+from .quadfield import InvalidModulusError, Modulus
+from .triples import NotASolutionError, Triple
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # quadfield
-    "Modulus",
-    "QuadInt",
-    "SplitKind",
-    "PrimeSplitInfo",
-    "InvalidModulusError",
-    "kronecker",
-    "splitting_type",
-    "sqrt_mod",
-    "qi_mul",
-    "qi_conj",
-    "qi_norm",
-    # classgroup
-    "FormClass",
-    "ClassGroupTable",
-    "Pillar",
-    "QuotientData",
-    "DiscriminantMismatchError",
-    "PillarConfigError",
-    "reduce_form",
-    "principal_form",
-    "compose_forms",
-    "form_inverse",
-    "form_pow",
-    "enumerate_class_group",
-    "group_structure",
-    "primary_structure",
-    "two_torsion",
-    "quotient_setup",
-    "class_of_prime",
-    "class_mod_two_torsion",
-    # triples
-    "Triple",
-    "ModulusMismatchError",
-    "NotASolutionError",
-    "identity",
-    "normalize",
-    "parse_triple",
-    "add",
-    "negate",
-    "scalar_mul",
-    # basis
     "BasisTable",
-    "BasisElement",
-    "Category",
-    "ExpEntry",
-    "NotTwoTorsionError",
-    "default_table",
-    "split_primes",
-    "two_torsion_primes",
-    "solve_norm_equation",
-    "two_torsion_triple",
-    "special_four_element",
-    "exponent_vector",
-    "beta",
-    "enumerate_basis",
-    # decompose
-    "Decomposition",
-    "DecompositionError",
-    "GeneratorUnavailableError",
-    "PrimeIdealRef",
-    "ideal_valuations",
+    "Modulus",
+    "Triple",
     "decompose",
     "recombine",
+    # exit code 2
+    "InvalidModulusError",
+    "PillarConfigError",
+    # exit code 3
+    "NotASolutionError",
+    # exit code 4
+    "DecompositionError",
 ]

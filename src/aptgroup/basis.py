@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .classgroup import ClassGroupTable, Pillar, QuotientData, enumerate_class_group, quotient_setup
+from .classgroup import ClassGroupTable, Pillar, QuotientData, quotient_setup
 from .primes import factorize, primes_up_to
 from .quadfield import (
     Modulus,
@@ -43,15 +43,10 @@ __all__ = [
     "ExpEntry",
     "BasisElement",
     "BasisTable",
-    "default_table",
     "split_primes",
-    "two_torsion_primes",
     "solve_norm_equation",
     "two_torsion_triple",
     "special_four_element",
-    "exponent_vector",
-    "beta",
-    "enumerate_basis",
 ]
 
 
@@ -230,7 +225,7 @@ class BasisTable:
         table: ClassGroupTable | None = None,
     ):
         self.mod = mod
-        self.table = table if table is not None else enumerate_class_group(mod)
+        self.table = table if table is not None else ClassGroupTable(mod)
         self.quotient: QuotientData = quotient_setup(self.table, pillars)
         self._beta: dict[int, BasisElement] = {}
 
@@ -288,10 +283,6 @@ class BasisTable:
             got = self._beta[p] = self._compute_beta(p)
         return got
 
-    def cached_primes(self) -> list[int]:
-        """Primes whose beta values have been computed so far."""
-        return sorted(self._beta)
-
     def _compute_beta(self, p: int) -> BasisElement:
         cat = self.category_of(p)
         info = splitting_type(self.mod, p)
@@ -322,31 +313,3 @@ class BasisTable:
             ps = [2, *ps]
         return [self.beta(p) for p in ps]
 
-
-_shared: dict[tuple[int, tuple[int, ...] | None], BasisTable] = {}
-
-
-def default_table(mod: Modulus, pillars: Sequence[int] | None = None) -> BasisTable:
-    """Shared BasisTable for (m, pillar configuration)."""
-    key = (mod.m, tuple(pillars) if pillars is not None else None)
-    got = _shared.get(key)
-    if got is None:
-        got = _shared[key] = BasisTable(mod, pillars)
-    return got
-
-
-def two_torsion_primes(mod: Modulus, bound: int, pillars: Sequence[int] | None = None) -> list[int]:
-    """Split primes up to bound whose ideal class is 2-torsion."""
-    return default_table(mod, pillars).two_torsion_primes(bound)
-
-
-def exponent_vector(mod: Modulus, p: int, pillars: Sequence[int] | None = None) -> tuple[ExpEntry, ...]:
-    return default_table(mod, pillars).exponent_vector(p)
-
-
-def beta(mod: Modulus, p: int, pillars: Sequence[int] | None = None) -> BasisElement:
-    return default_table(mod, pillars).beta(p)
-
-
-def enumerate_basis(mod: Modulus, bound: int, pillars: Sequence[int] | None = None) -> list[BasisElement]:
-    return default_table(mod, pillars).elements(bound)

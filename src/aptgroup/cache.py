@@ -1,112 +1,7 @@
-"""On-disk cache of class-group and basis tables, as canonical JSON.
+"""Empty: the package keeps no on-disk cache.
 
-A document is trusted only if rebuilding it from scratch reproduces it
-byte for byte, so corrupt or stale files are silently recomputed.  The
-location comes from --cache-dir, then the APTGROUP_CACHE_DIR environment
-variable, then ~/.cache/aptgroup.
+A cache file could only be trusted after every table in it had been
+recomputed, so it never saved work, and the cache was removed.  Every table
+lives in the process that builds it.  The module stays importable because
+the benchmark harness (bench/harness.py) imports each package module by name.
 """
-
-from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
-from typing import Sequence
-
-from .basis import BasisTable
-
-__all__ = [
-    "CACHE_VERSION",
-    "cache_dir",
-    "cache_path",
-    "canonical_json",
-    "build_document",
-    "load_document",
-    "document_is_valid",
-    "warm_from_cache",
-    "save_to_cache",
-]
-
-CACHE_VERSION = "1"
-_ENV_VAR = "APTGROUP_CACHE_DIR"
-
-
-def cache_dir(override: str | None = None) -> Path:
-    base = override or os.environ.get(_ENV_VAR) or os.path.join("~", ".cache", "aptgroup")
-    return Path(base).expanduser()
-
-
-def cache_path(directory: Path, m: int, pillars: Sequence[int] | None) -> Path:
-    tag = "default" if pillars is None else "p" + "-".join(str(p) for p in pillars)
-    return directory / f"m{m}-{tag}.json"
-
-
-def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def build_document(bt: BasisTable, primes: Sequence[int]) -> dict:
-    """Serialize the table plus beta values for the given primes."""
-    table = bt.table
-    special = bt.special()
-    basis_entries = []
-    for p in sorted(set(primes)):
-        el = bt.beta(p)
-        t = el.triple
-        basis_entries.append(
-            {
-                "p": p,
-                "triple": [t.a, t.b, t.c],
-                "category": el.category.value,
-                "exps": [{"j": e.j, "a": e.a, "conj": e.conj} for e in el.exps],
-            }
-        )
-    return {
-        "version": CACHE_VERSION,
-        "m": bt.mod.m,
-        "disc": bt.mod.disc,
-        "forms": [[f.a, f.b, f.c] for f in table.forms],
-        "structure": [{"gen": [g.a, g.b, g.c], "order": o} for g, o in table.structure],
-        "pillars": [
-            {"p": pl.p, "root": pl.info.root, "conj": False, "h": pl.order}
-            for pl in bt.pillars
-        ],
-        "basis": basis_entries,
-        "special": [special.a, special.b, special.c] if special is not None else None,
-    }
-
-
-def load_document(path: Path) -> dict | None:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
-def document_is_valid(bt: BasisTable, doc: dict) -> bool:
-    """True when recomputing the document reproduces it byte for byte."""
-    try:
-        primes = [entry["p"] for entry in doc["basis"]]
-        rebuilt = build_document(bt, primes)
-    except Exception:
-        return False
-    return canonical_json(rebuilt) == canonical_json(doc)
-
-
-def warm_from_cache(bt: BasisTable, path: Path) -> bool:
-    """Validate a cache file; computing the validation warms the table.
-
-    Returns True when the file existed and matched the recomputation.
-    """
-    doc = load_document(path)
-    if doc is None:
-        return False
-    return document_is_valid(bt, doc)
-
-
-def save_to_cache(bt: BasisTable, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = build_document(bt, bt.cached_primes())
-    path.write_text(canonical_json(doc), encoding="utf-8")

@@ -1,12 +1,12 @@
 """The ideal class group of Q(sqrt(-m)) as reduced binary quadratic forms.
 
 Classes are represented by reduced primitive positive definite forms
-A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by the Dirichlet
-rule on concordant representatives.  Beyond the bare group this module
+A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
+composition (Cohen, GTM 138, Alg. 5.4.7).  Beyond the bare group this module
 recovers the abelian structure and the 2-torsion subgroup, and presents
 the quotient by 2-torsion as a direct sum in which each cyclic factor is
 generated by the image of a chosen split prime ideal (a "pillar").  The
-class group here is tiny (a few dozen classes at most), so structure
+class groups met here are small (h = 1024 at m = 3000010), so structure
 recovery is done by direct search rather than linear algebra.
 """
 
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .primes import crt, primes_up_to, xgcd
+from .primes import primes_up_to, xgcd
 from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type
 
 __all__ = [
@@ -26,18 +26,11 @@ __all__ = [
     "reduce_form",
     "principal_form",
     "compose_forms",
-    "form_inverse",
-    "form_pow",
     "ClassGroupTable",
-    "enumerate_class_group",
-    "group_structure",
     "primary_structure",
-    "two_torsion",
     "Pillar",
     "QuotientData",
     "quotient_setup",
-    "class_of_prime",
-    "class_mod_two_torsion",
 ]
 
 
@@ -104,70 +97,33 @@ def principal_form(disc: int) -> FormClass:
     return FormClass(1, 1, (1 - disc) // 4)
 
 
-def _transform(a: int, b: int, c: int, x: int, y: int, z: int, w: int) -> tuple[int, int, int]:
-    # action of the determinant-1 matrix [[x, z], [y, w]] on the form
-    aa = a * x * x + b * x * y + c * y * y
-    cc = a * z * z + b * z * w + c * w * w
-    bb = 2 * (a * x * z + c * y * w) + b * (x * w + y * z)
-    return aa, bb, cc
-
-
-def _coprime_representation(f: FormClass, modulus: int) -> tuple[int, int]:
-    """Smallest (x, y), gcd(x, y) = 1, with f(x, y) coprime to modulus.
-
-    A primitive form properly represents values coprime to any modulus;
-    the search radius needed in practice is tiny.
-    """
-    a, b, c = f.a, f.b, f.c
-    for s in itertools.count(1):
-        for x in range(-s, s + 1):
-            for y in range(-s, s + 1):
-                if max(abs(x), abs(y)) != s or gcd(x, y) != 1:
-                    continue
-                v = a * x * x + b * x * y + c * y * y
-                if v != 0 and gcd(v, modulus) == 1:
-                    return x, y
-        if s > 64:
-            raise RuntimeError(f"no representation coprime to {modulus} found for {f}")
-
-
 def compose_forms(f: FormClass, g: FormClass) -> FormClass:
-    """Gauss composition, computed through concordant representatives.
+    """Gauss composition of two forms of one discriminant, reduced.
 
-    f is moved to an equivalent form (A, B1, *) whose leading coefficient A
-    is coprime to 2 * g.a * disc; after aligning the middle coefficients by
-    CRT the two forms are concordant and compose to (A * g.a, B, *).
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7:
+    the united form (a3, b3, c3) with a3 = a1 * a2 / d1^2 is read off two
+    extended gcds, d = gcd(a1, a2) and d1 = gcd(d, (b1 + b2) / 2).
     """
-    d = f.disc
-    if g.disc != d:
-        raise DiscriminantMismatchError(f"cannot compose discriminants {d} and {g.disc}")
-    x, y = _coprime_representation(f, 2 * g.a * d)
-    # complete (x, y) to a determinant-1 matrix
-    _, w, zneg = xgcd(x, y)
-    z = -zneg
-    aa, bb, _ = _transform(f.a, f.b, f.c, x, y, z, w)
-    # middle coefficient common to both concordant forms
-    b0, _ = crt(bb % (2 * aa), 2 * aa, g.b % (2 * g.a), 2 * g.a)
-    a0 = aa * g.a
-    assert (b0 * b0 - d) % (4 * a0) == 0
-    return reduce_form(a0, b0, (b0 * b0 - d) // (4 * a0))
-
-
-def form_inverse(f: FormClass) -> FormClass:
-    return f.inverse()
-
-
-def form_pow(f: FormClass, n: int) -> FormClass:
-    result = principal_form(f.disc)
-    base = f if n >= 0 else f.inverse()
-    n = abs(n)
-    while n:
-        if n & 1:
-            result = compose_forms(result, base)
-        if n > 1:
-            base = compose_forms(base, base)
-        n >>= 1
-    return result
+    disc = f.disc
+    if g.disc != disc:
+        raise DiscriminantMismatchError(f"cannot compose discriminants {disc} and {g.disc}")
+    if f.a > g.a:
+        f, g = g, f
+    a1, a2, b2, c2 = f.a, g.a, g.b, g.c
+    s = (f.b + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, v = xgcd(s, d)
+        y2 = -v
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return reduce_form(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1, disc)
 
 
 def _enumerate_reduced(disc: int) -> list[FormClass]:
@@ -331,15 +287,6 @@ class ClassGroupTable:
         return got
 
 
-def enumerate_class_group(mod: Modulus) -> ClassGroupTable:
-    return ClassGroupTable(mod)
-
-
-def group_structure(table: ClassGroupTable) -> list[tuple[FormClass, int]]:
-    """Invariant-factor presentation of Cl as [(generator, order)]."""
-    return list(table.structure)
-
-
 def primary_structure(table: ClassGroupTable) -> list[tuple[FormClass, int]]:
     """Prime-power cyclic decomposition, derived from the invariant factors.
 
@@ -351,20 +298,6 @@ def primary_structure(table: ClassGroupTable) -> list[tuple[FormClass, int]]:
         for _, qk in _prime_power_parts(n):
             out.append((table.power(g, n // qk), qk))
     return sorted(out, key=lambda t: (-t[1], t[0]))
-
-
-def two_torsion(table: ClassGroupTable) -> list[FormClass]:
-    """The subgroup of classes with trivial square (the ambiguous classes)."""
-    return list(table.twotorsion)
-
-
-def class_of_prime(table: ClassGroupTable, p: int) -> FormClass:
-    return table.class_of_prime(p)
-
-
-def class_mod_two_torsion(table: ClassGroupTable, p: int) -> FormClass:
-    """Canonical coset representative of the prime's class in the quotient."""
-    return table.coset_rep(table.class_of_prime(p))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Commands: classgroup, generators, beta, decompose, verify-paper.
 Machine output (--json, and decompose always) is canonical JSON with
-sorted keys; exit codes are 0 success, 2 invalid modulus or configuration,
-3 input not a solution, 4 decomposition verification failure.
+sorted keys; exit codes are 0 success, 1 a failing verify-paper fixture,
+2 invalid modulus or configuration, 3 input not a solution, 4 decomposition
+verification failure.  Every command accepts and ignores --cache-dir.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .basis import BasisTable
-from .cache import cache_dir, cache_path, save_to_cache, warm_from_cache
 from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose
 from .fixtures import run_fixtures
@@ -32,13 +31,8 @@ def _structure_str(orders) -> str:
     return " x ".join(f"C{o}" for o in orders) if orders else "C1"
 
 
-def _get_table(args) -> tuple[BasisTable, Path]:
-    mod = Modulus(args.m)
-    pillars = tuple(args.pillar) if args.pillar else None
-    bt = BasisTable(mod, pillars)
-    path = cache_path(cache_dir(args.cache_dir), mod.m, pillars)
-    warm_from_cache(bt, path)
-    return bt, path
+def _get_table(args) -> BasisTable:
+    return BasisTable(Modulus(args.m), tuple(args.pillar) if args.pillar else None)
 
 
 def _pillar_arg(text: str) -> int:
@@ -46,19 +40,22 @@ def _pillar_arg(text: str) -> int:
     return int(text.partition("=")[2] or text)
 
 
-def _add_common(sub, with_m: bool = True):
-    if with_m:
-        sub.add_argument("-m", type=int, required=True, help="square-free modulus m > 3")
+def _add_cache_dir(sub):
+    # kept so that scripts which pass it still parse
+    sub.add_argument("--cache-dir", default=None, help="ignored; nothing is cached on disk")
+
+
+def _add_common(sub):
+    sub.add_argument("-m", type=int, required=True, help="square-free modulus m > 3")
     sub.add_argument("--pillar", type=_pillar_arg, action="append", default=None,
                      metavar="P", help="override pillar primes (repeatable, ordered; 'p=2' also accepted)")
     sub.add_argument("--json", action="store_true", help="canonical JSON output")
-    sub.add_argument("--cache-dir", default=None, help="cache directory override")
+    _add_cache_dir(sub)
 
 
 def cmd_classgroup(args) -> int:
-    bt, path = _get_table(args)
+    bt = _get_table(args)
     table, quot = bt.table, bt.quotient
-    save_to_cache(bt, path)
     if args.json:
         doc = {
             "m": bt.mod.m,
@@ -107,9 +104,8 @@ def cmd_generators(args) -> int:
     if args.bound < 2:
         print("error: --bound must be at least 2", file=sys.stderr)
         return 2
-    bt, path = _get_table(args)
+    bt = _get_table(args)
     elements = bt.elements(args.bound)
-    save_to_cache(bt, path)
     if args.json:
         print(_canonical({"m": bt.mod.m, "bound": args.bound,
                           "basis": [_element_json(el) for el in elements]}))
@@ -120,13 +116,12 @@ def cmd_generators(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    bt, path = _get_table(args)
+    bt = _get_table(args)
     try:
         el = bt.beta(args.p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_to_cache(bt, path)
     if args.json:
         print(_canonical(_element_json(el)))
     else:
@@ -135,7 +130,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    bt, path = _get_table(args)
+    bt = _get_table(args)
     try:
         if len(args.triple) == 1:
             t = parse_triple(bt.mod, args.triple[0])
@@ -155,7 +150,6 @@ def cmd_decompose(args) -> int:
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    save_to_cache(bt, path)
     print(_canonical(d.to_json_dict()))
     return 0
 
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-paper", help="recompute the published worked examples")
     p.add_argument("--m", dest="m", type=int, default=None, help="restrict to one modulus")
-    p.add_argument("--cache-dir", default=None, help="ignored; fixtures never read the cache")
+    _add_cache_dir(p)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -6,6 +6,7 @@ proven correct for all n < 3.3 * 10^24, far beyond what this package needs.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -62,12 +63,15 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def factorize(n: int, trial_limit: int = 1_000_000) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division.
+# Trial division stops here; larger factors are left to rho.
+_TRIAL_BOUND = 1000
 
-    The cofactor left after trial division must itself be prime; otherwise a
-    ValueError is raised.  All integers handled by this package have small
-    prime factors, so this never triggers in normal use.
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1.
+
+    Trial division removes the primes below 1000; the cofactor is split by
+    Pollard-Brent rho until every part passes Miller-Rabin.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -79,17 +83,54 @@ def factorize(n: int, trial_limit: int = 1_000_000) -> dict[int, int]:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d <= trial_limit:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             n //= d
             out[d] = out.get(d, 0) + 1
         d += wheel[i]
         i = (i + 1) % 8
-    if n > 1:
-        if not is_prime(n):
-            raise ValueError(f"composite cofactor {n} exceeds trial division limit")
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            f = _rho_factor(n)
+            stack += [f, n // f]
     return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n.
+
+    Pollard's rho with Brent's cycle detection and batched gcds (Brent,
+    BIT 20, 1980), on x -> x^2 + c from x = 2; a c whose cycle closes
+    modulo n itself is replaced by the next one.
+    """
+    batch = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def valuation(n: int, p: int) -> int:

@@ -2,8 +2,7 @@
 
 The modulus m is a square-free integer > 3.  Elements of the maximal order
 are (u + v*sqrt(-m)) / 2^(1-delta) where delta = 0 exactly when -m = 1
-(mod 4); the half flag on QuadInt tracks the denominator so that all
-arithmetic stays in integers.  This module also provides the Kronecker
+(mod 4).  This module provides the field constants, the Kronecker
 symbol of -m, the splitting data of rational primes with a canonical
 square root convention, and prime-ideal valuations of elements via
 Hensel-lifted roots.
@@ -20,15 +19,11 @@ from .primes import is_prime, is_squarefree
 __all__ = [
     "InvalidModulusError",
     "Modulus",
-    "QuadInt",
     "SplitKind",
     "PrimeSplitInfo",
     "kronecker",
     "splitting_type",
     "sqrt_mod",
-    "qi_mul",
-    "qi_conj",
-    "qi_norm",
     "lift_root",
     "ideal_valuation",
 ]
@@ -58,68 +53,6 @@ class Modulus:
             raise InvalidModulusError(f"modulus must be square-free, got {self.m}")
         object.__setattr__(self, "delta", 0 if (-self.m) % 4 == 1 else 1)
         object.__setattr__(self, "disc", -self.m if self.m % 4 == 3 else -4 * self.m)
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    """(u + v*sqrt(-m))/2 when half is set, else u + v*sqrt(-m).
-
-    The half form requires delta = 0 and u = v (mod 2); a half element with
-    both coordinates even is normalized to the integral form on construction.
-    """
-
-    mod: Modulus
-    u: int
-    v: int
-    half: bool = False
-
-    def __post_init__(self) -> None:
-        if self.half:
-            if self.mod.delta != 0:
-                raise ValueError("half-integer coordinates need -m = 1 (mod 4)")
-            if (self.u - self.v) % 2 != 0:
-                raise ValueError("half-integer coordinates need u = v (mod 2)")
-            if self.u % 2 == 0 and self.v % 2 == 0:
-                object.__setattr__(self, "u", self.u // 2)
-                object.__setattr__(self, "v", self.v // 2)
-                object.__setattr__(self, "half", False)
-
-    def __repr__(self) -> str:
-        base = f"{self.u} + {self.v}*sqrt(-{self.mod.m})"
-        return f"({base})/2" if self.half else base
-
-
-def qi_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Product in the ring of integers."""
-    if x.mod != y.mod:
-        raise ValueError("mixed moduli")
-    m = x.mod.m
-    # work in doubled coordinates z = (a + b*sqrt(-m))/2
-    ax, bx = (x.u, x.v) if x.half else (2 * x.u, 2 * x.v)
-    ay, by = (y.u, y.v) if y.half else (2 * y.u, 2 * y.v)
-    a2 = ax * ay - m * bx * by
-    b2 = ax * by + ay * bx
-    # z1*z2 = (a2 + b2*sqrt(-m))/4; in the maximal order both are even
-    if a2 % 2 or b2 % 2:
-        raise ValueError("product left the ring of integers")
-    u, v = a2 // 2, b2 // 2
-    if u % 2 == 0 and v % 2 == 0:
-        return QuadInt(x.mod, u // 2, v // 2, half=False)
-    return QuadInt(x.mod, u, v, half=True)
-
-
-def qi_conj(x: QuadInt) -> QuadInt:
-    return QuadInt(x.mod, x.u, -x.v, x.half)
-
-
-def qi_norm(x: QuadInt) -> int:
-    """N(x) = x * conj(x), a non-negative rational integer."""
-    n = x.u * x.u + x.mod.m * x.v * x.v
-    if x.half:
-        if n % 4 != 0:
-            raise ValueError("inconsistent half coordinates")
-        return n // 4
-    return n
 
 
 class SplitKind(enum.Enum):

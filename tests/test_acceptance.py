@@ -8,18 +8,10 @@ import random
 from contextlib import contextmanager
 from math import gcd
 
-from aptgroup import (
-    Modulus,
-    Triple,
-    add,
-    decompose,
-    enumerate_class_group,
-    identity,
-    negate,
-    recombine,
-    scalar_mul,
-    solve_norm_equation,
-)
+from aptgroup import Modulus, Triple, decompose, recombine
+from aptgroup.basis import solve_norm_equation
+from aptgroup.classgroup import ClassGroupTable
+from aptgroup.triples import add, identity, negate, scalar_mul
 from aptgroup.primes import is_squarefree, valuation
 
 
@@ -99,7 +91,7 @@ def test_criterion_5_two_never_torsion_sweep():
         for m in range(17, 501):
             if m % 8 != 7 or not is_squarefree(m):
                 continue
-            table = enumerate_class_group(Modulus(m))
+            table = ClassGroupTable(Modulus(m))
             assert table.order_of(table.class_of_prime(2)) > 2, m
             checked += 1
         assert checked >= 50

@@ -2,20 +2,17 @@ from math import gcd
 
 import pytest
 
-from aptgroup import (
+from aptgroup.basis import (
     BasisTable,
     Category,
-    Modulus,
     NotTwoTorsionError,
-    Triple,
-    split_primes,
-    two_torsion_primes,
-    enumerate_basis,
-    two_torsion_triple,
     solve_norm_equation,
     special_four_element,
-    splitting_type,
+    split_primes,
+    two_torsion_triple,
 )
+from aptgroup.quadfield import Modulus, splitting_type
+from aptgroup.triples import Triple
 
 SPLIT35 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]
 SPLIT23 = [2, 3, 13, 29, 31, 41, 47, 59, 71, 73, 101, 127, 131, 139, 151, 163, 167, 173, 179, 193, 197]
@@ -35,15 +32,15 @@ class TestPrimeSets:
         assert split_primes(Modulus(974), 163) == SPLIT974
 
     def test_L0_23(self):
-        assert two_torsion_primes(Modulus(23), 180) == [59, 101, 167, 173]
+        assert BasisTable(Modulus(23)).two_torsion_primes(180) == [59, 101, 167, 173]
 
     def test_L0_974(self):
-        assert two_torsion_primes(Modulus(974), 983) == [937, 983]
+        assert BasisTable(Modulus(974)).two_torsion_primes(983) == [937, 983]
 
     def test_L0_equals_L_for_35(self):
         mod = Modulus(35)
         for bound in (10, 50, 151):
-            assert two_torsion_primes(mod, bound) == split_primes(mod, bound)
+            assert BasisTable(mod).two_torsion_primes(bound) == split_primes(mod, bound)
 
 
 class TestNormEquation:
@@ -239,7 +236,7 @@ class TestUniqueRepresentationScale:
     @pytest.mark.parametrize("m", [23, 35, 974])
     def test_exactly_one_scale(self, m):
         mod = Modulus(m)
-        for p in two_torsion_primes(mod, 400):
+        for p in BasisTable(mod).two_torsion_primes(400):
             plain = [s for s in solve_norm_equation(mod, p * p) if s[1] > 0]
             double = [s for s in solve_norm_equation(mod, 4 * p * p) if s[1] > 0]
             assert len(plain) + len(double) == 1, (m, p, plain, double)
@@ -247,16 +244,16 @@ class TestUniqueRepresentationScale:
 
 class TestEnumerateBasis:
     def test_m35_bound_17(self):
-        got = [el.triple for el in enumerate_basis(Modulus(35), 17)]
+        got = [el.triple for el in BasisTable(Modulus(35)).elements(17)]
         assert [(t.a, t.b, t.c) for t in got] == [(1, 1, 6), (13, 3, 22), (19, 3, 26), (29, 3, 34)]
 
     def test_m23_pillar2_bound_29(self):
-        got = [el.triple for el in enumerate_basis(Modulus(23), 29, pillars=(2,))]
+        got = [el.triple for el in BasisTable(Modulus(23), (2,)).elements(29)]
         assert [(t.a, t.b, t.c) for t in got] == [(7, 3, 16), (11, 1, 12), (29, 9, 52), (91, 15, 116)]
 
     def test_tiny_bound(self):
-        assert enumerate_basis(Modulus(23), 1) == []
-        specials = enumerate_basis(Modulus(7), 1)
+        assert BasisTable(Modulus(23)).elements(1) == []
+        specials = BasisTable(Modulus(7)).elements(1)
         assert [el.triple for el in specials] == [Triple(7, 3, 1, 4)]
 
     def test_deterministic(self):

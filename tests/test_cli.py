@@ -2,14 +2,6 @@ import json
 
 import pytest
 
-from aptgroup import BasisTable, Modulus
-from aptgroup.cache import (
-    build_document,
-    cache_path,
-    canonical_json,
-    document_is_valid,
-    load_document,
-)
 from aptgroup.cli import main
 
 
@@ -130,6 +122,13 @@ class TestDecomposeCommand:
                            "--cache-dir", str(tmp_path))
         assert code == 0 and json.loads(out)["input"] == [4141, 66, 4625]
 
+    def test_primes_above_trial_division(self, capsys):
+        # beta(1000033) + beta(1000037) over m = 35
+        code, out, _ = run(capsys, "decompose", "-m", "35", "906413495341,-71425202196,1000070001221")
+        assert code == 0
+        assert out == ('{"input":[906413495341,-71425202196,1000070001221],"m":35,"special":0,'
+                       '"terms":[{"coeff":1,"p":1000033},{"coeff":1,"p":1000037}],"verified":true}\n')
+
 
 class TestVerifyPaperCommand:
     def test_all_pass(self, capsys):
@@ -146,40 +145,22 @@ class TestVerifyPaperCommand:
 
     def test_corrupted_cache_is_ignored(self, capsys, tmp_path):
         # verify-paper recomputes; a corrupt cache must not break other commands
-        bad = cache_path(tmp_path, 23, None)
-        bad.parent.mkdir(parents=True, exist_ok=True)
-        bad.write_text("{not json", encoding="utf-8")
+        (tmp_path / "m23-default.json").write_text("{not json", encoding="utf-8")
         code, out, _ = run(capsys, "verify-paper", "--m", "23")
         assert code == 0
         code, out, _ = run(capsys, "classgroup", "-m", "23", "--cache-dir", str(tmp_path))
         assert code == 0 and "h = 3" in out
 
 
-class TestCache:
-    def test_roundtrip_byte_identity(self, tmp_path):
-        bt = BasisTable(Modulus(23), (2,))
-        primes = bt.split_primes(29)
-        doc = build_document(bt, primes)
-        path = tmp_path / "doc.json"
-        path.write_text(canonical_json(doc), encoding="utf-8")
-        loaded = load_document(path)
-        rebuilt = build_document(BasisTable(Modulus(23), (2,)), primes)
-        assert canonical_json(loaded) == canonical_json(rebuilt)
-
-    def test_validation_rejects_tampering(self, tmp_path):
-        bt = BasisTable(Modulus(23))
-        doc = build_document(bt, bt.split_primes(29))
-        doc["basis"][0]["triple"] = [11, 1, 12]  # wrong entry for beta(2)
-        assert not document_is_valid(BasisTable(Modulus(23)), doc)
-
-    def test_cache_file_written_and_reused(self, capsys, tmp_path):
-        code, out1, _ = run(capsys, "generators", "-m", "23", "--bound", "29",
-                            "--cache-dir", str(tmp_path))
-        assert code == 0
-        f = cache_path(tmp_path, 23, None)
-        assert f.exists()
-        doc = load_document(f)
-        assert document_is_valid(BasisTable(Modulus(23)), doc)
-        code, out2, _ = run(capsys, "generators", "-m", "23", "--bound", "29",
-                            "--cache-dir", str(tmp_path))
-        assert out1 == out2
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "-m", "23"],
+    ["generators", "-m", "23", "--bound", "29"],
+    ["beta", "-m", "974", "37"],
+    ["decompose", "-m", "974", "4141", "66", "4625"],
+    ["verify-paper", "--m", "23"],
+])
+def test_cache_dir_accepted_and_nothing_written(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0 and out
+    assert list(tmp_path.iterdir()) == []

@@ -2,17 +2,9 @@ import random
 
 import pytest
 
-from aptgroup import (
-    BasisTable,
-    GeneratorUnavailableError,
-    Modulus,
-    PrimeIdealRef,
-    Triple,
-    decompose,
-    ideal_valuations,
-    identity,
-    recombine,
-)
+from aptgroup import BasisTable, Modulus, Triple, decompose, recombine
+from aptgroup.decompose import GeneratorUnavailableError, PrimeIdealRef, ideal_valuations
+from aptgroup.triples import identity
 from aptgroup.primes import factorize
 
 
@@ -163,3 +155,11 @@ class TestRoundTrips:
             # 2 and the special element coincide for m = 7
             sp_want = sp + want.pop(2, 0)
             assert dict(d.terms) == want and d.special_coeff == sp_want
+
+    def test_roundtrip_primes_above_trial_division(self, tables):
+        # the third component is 1000033 * 1000037: no factor below 10^6
+        bt = tables[35]
+        t = recombine(bt, {1000033: 1, 1000037: 1})
+        assert t == Triple(35, 906413495341, -71425202196, 1000070001221)
+        d = decompose(bt, t)
+        assert dict(d.terms) == {1000033: 1, 1000037: 1} and d.verified

@@ -1,20 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from aptgroup import (
+from aptgroup.primes import primes_up_to
+from aptgroup.quadfield import (
     InvalidModulusError,
     Modulus,
-    QuadInt,
     SplitKind,
+    ideal_valuation,
     kronecker,
-    qi_conj,
-    qi_mul,
-    qi_norm,
+    lift_root,
     splitting_type,
     sqrt_mod,
 )
-from aptgroup.primes import primes_up_to
-from aptgroup.quadfield import ideal_valuation, lift_root
 
 
 class TestModulus:
@@ -115,50 +111,6 @@ class TestSqrtMod:
             else:
                 assert got in roots
                 assert got == 0 or got <= (p - 1) // 2
-
-
-class TestQuadInt:
-    def test_norm_examples(self):
-        assert qi_norm(QuadInt(Modulus(7), -3, 1, half=True)) == 4
-        assert qi_norm(QuadInt(Modulus(23), 6, 1)) == 59
-
-    def test_conjugate_product(self):
-        for m in (23, 35, 974):
-            mod = Modulus(m)
-            z = qi_mul(QuadInt(mod, 1, 1), QuadInt(mod, 1, -1))
-            assert z == QuadInt(mod, 1 + m, 0)
-
-    def test_half_requires_delta_zero(self):
-        with pytest.raises(ValueError):
-            QuadInt(Modulus(974), 1, 1, half=True)
-
-    def test_half_requires_matching_parity(self):
-        with pytest.raises(ValueError):
-            QuadInt(Modulus(23), 1, 2, half=True)
-
-    def test_half_normalizes_even_coordinates(self):
-        z = QuadInt(Modulus(23), 4, 2, half=True)
-        assert (z.u, z.v, z.half) == (2, 1, False)
-
-    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
-    def test_norm_multiplicative(self, u1, v1, u2, v2):
-        mod = Modulus(23)
-        x, y = QuadInt(mod, u1, v1), QuadInt(mod, u2, v2)
-        assert qi_norm(qi_mul(x, y)) == qi_norm(x) * qi_norm(y)
-
-    @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
-    def test_norm_multiplicative_half(self, a1, b1, a2, b2):
-        # force matching parities so both factors are half-integers
-        mod = Modulus(7)
-        x = QuadInt(mod, 2 * a1 + 1, 2 * b1 + 1, half=True)
-        y = QuadInt(mod, 2 * a2 + 1, 2 * b2 + 1, half=True)
-        assert qi_norm(qi_mul(x, y)) == qi_norm(x) * qi_norm(y)
-
-    def test_norm_equals_self_times_conjugate(self):
-        mod = Modulus(35)
-        z = QuadInt(mod, 5, 3)
-        prod = qi_mul(z, qi_conj(z))
-        assert (prod.u, prod.v) == (qi_norm(z), 0)
 
 
 class TestValuations:

@@ -3,18 +3,9 @@ from math import gcd
 
 import pytest
 
-from aptgroup import (
-    Modulus,
-    ModulusMismatchError,
-    NotASolutionError,
-    Triple,
-    add,
-    identity,
-    kronecker,
-    negate,
-    normalize,
-    scalar_mul,
-)
+from aptgroup import Modulus, NotASolutionError, Triple
+from aptgroup.quadfield import kronecker
+from aptgroup.triples import ModulusMismatchError, add, identity, negate, normalize, parse_triple, scalar_mul
 from aptgroup.primes import factorize
 from conftest import brute_triples
 
@@ -43,7 +34,6 @@ class TestNormalize:
             normalize(23, 0, 0, 0)
 
     def test_parse_triple(self):
-        from aptgroup import parse_triple
 
         assert parse_triple(23, "13,12,59") == Triple(23, 13, 12, 59)
         assert parse_triple(23, "[13, 12, 59]") == Triple(23, 13, 12, 59)
