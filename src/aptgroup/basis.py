@@ -10,10 +10,12 @@ triple, built from a prime-ideal product whose class is 2-torsion:
     component p^h, up to a factor 2 absorbed by primitive reduction;
   * all other split primes: the chosen ideal is first multiplied into the
     2-torsion subgroup by canonical pillar exponents of at most half the
-    pillar order (conjugate pillars absorb the rest), and among all
-    primitive triples realizing the
-    resulting norm equation the one with the smallest first component wins.
+    pillar order (conjugate pillars absorb the rest), and among the triples
+    of all conjugation patterns of those pillar factors the one with the
+    smallest first component wins.
 
+Each triple comes from the generator of a squared ideal, found by
+Cornacchia's algorithm (two_torsion_triple): one Euclid run per pattern.
 The image of beta, together with the distinguished [q, r, 4] element for
 m in {7, 15}, generates the triple group freely.
 """
@@ -21,21 +23,15 @@ m in {7, 15}, generates the triple group freely.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .classgroup import ClassGroupTable, Pillar, QuotientData, quotient_setup
-from .primes import factorize, primes_up_to
-from .quadfield import (
-    Modulus,
-    PrimeSplitInfo,
-    SplitKind,
-    ideal_valuation,
-    kronecker,
-    splitting_type,
-)
-from .triples import Triple
+from .primes import crt, factorize, primes_up_to
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, lift_root, splitting_type
+from .triples import Triple, normalize
 
 __all__ = [
     "NotTwoTorsionError",
@@ -111,29 +107,6 @@ def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _principal_square_triples(mod: Modulus, n: int) -> list[Triple]:
-    """Primitive triples from generators z of ideals with norm n^2.
-
-    Writing z = (u + v*sqrt(-m)) / 2^(1-delta), the norm equation is
-    u^2 + m*v^2 = (2^(1-delta) * n)^2; integral generators appear, when
-    delta = 0, as the coprime solutions at scale n^2 and give the triple
-    [u, v, n] instead of [u, v, 2n].  Sorted by first component.
-    """
-    out = []
-    if mod.delta == 0:
-        for u, v in solve_norm_equation(mod, 4 * n * n):
-            if v > 0:
-                out.append(Triple(mod.m, u, v, 2 * n))
-        for u, v in solve_norm_equation(mod, n * n):
-            if v > 0:
-                out.append(Triple(mod.m, u, v, n))
-    else:
-        for u, v in solve_norm_equation(mod, n * n):
-            if v > 0:
-                out.append(Triple(mod.m, u, v, n))
-    return sorted(out, key=lambda t: (t.a, t.c))
-
-
 IdealFactor = tuple[PrimeSplitInfo, int] | tuple[PrimeSplitInfo, int, bool]
 
 
@@ -153,53 +126,56 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
     """The primitive triple attached to an ideal product with 2-torsion class.
 
     factors lists (split info, exponent[, conjugate]) pairs; the product I
-    must have class of order at most 2, so that I^2 is principal with a
-    generator z of norm N(I)^2.  The candidate solutions of the norm
-    equation are filtered by exact ideal valuations (Hensel criterion) at
-    the odd primes of the product, up to replacing z by its conjugate;
-    exactly one primitive triple survives.  An empty candidate set means
-    the class was not 2-torsion.  A ramified factor squares to a rational
-    principal ideal and drops out projectively; 2 may appear only inert or
-    split.
+    of norm n must have class of order at most 2, so that I^2 is principal
+    with a generator z of norm n^2.  I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)>
+    with N = n^2 and r a square root of -m modulo 4N / 2^(2 delta), built by
+    CRT from the Hensel-lifted roots of the factors; Cornacchia's algorithm
+    on (N, r), or on (2N, r) for 4N when delta = 0 (Cohen, GTM 138,
+    Alg. 1.5.2 and 1.5.3), finds z or shows that I^2 is not principal.
+    Conjugating every factor gives the same triple.  A ramified factor
+    squares to a rational principal ideal and drops out projectively; 2 may
+    appear only inert or split.
     """
-    odd_split: list[tuple[PrimeSplitInfo, int, bool]] = []
     n = 1
+    r, modulus = (0, 1) if mod.delta else (1, 2)  # r is odd when delta = 0
     for info, e, conj in _normalize_factors(factors):
-        if info.p == 2:
-            if info.kind is SplitKind.RAMIFIED:
-                raise ValueError("a factor above 2 requires 2 inert or split")
-            if info.kind is SplitKind.SPLIT:
-                n *= 2**e
-            # inert <2> contributes a rational factor, projectively trivial
+        p = info.p
+        if info.kind is SplitKind.INERT and p != 2:
+            raise ValueError(f"odd inert prime {p} has no degree-one ideal")
+        if info.kind is SplitKind.RAMIFIED and p == 2:
+            raise ValueError("a factor above 2 requires 2 inert or split")
+        if info.kind is not SplitKind.SPLIT:
+            # inert <2> and ramified ideals square to rational ideals
             continue
-        if info.kind is SplitKind.INERT:
-            raise ValueError(f"odd inert prime {info.p} has no degree-one ideal")
-        if info.kind is SplitKind.RAMIFIED:
-            continue
-        odd_split.append((info, e, conj))
-        n *= info.p**e
-
+        n *= p**e
+        if p == 2:
+            # the root = 1 (mod 4) of b^2 = -m (mod 2^(2e+2)), as in <2, (1 + sqrt(-m))/2>
+            b = 1
+            for k in range(3, 2 * e + 2):
+                if (b * b + mod.m) % 2 ** (k + 1):
+                    b += 2 ** (k - 1)
+            r, modulus = crt(r, modulus, -b if conj else b, 2 ** (2 * e + 1))
+        else:
+            root = lift_root(mod, p, p - info.root if conj else info.root, 2 * e)
+            r, modulus = crt(r, modulus, root, p ** (2 * e))
     if n == 1:
         return Triple(mod.m, 1, 0, 1)
-
-    def matches(u: int, v: int) -> bool:
-        # v_Q(u + v*sqrt(-m)) = 2e at each listed ideal Q (odd primes)
-        return all(
-            ideal_valuation(mod, u, v, info, conj) == 2 * e for info, e, conj in odd_split
-        )
-
-    survivors = [
-        t
-        for t in _principal_square_triples(mod, n)
-        if matches(t.a, t.b) or matches(t.a, -t.b)
-    ]
-    if not survivors:
+    if modulus != n * n << (1 - mod.delta):
+        raise ValueError("each prime may appear in only one factor")
+    # Cornacchia: Euclid on (modulus, r) down to the square root of the norm
+    norm = n * n << 2 * (1 - mod.delta)
+    a, b, limit = modulus, r, isqrt(norm)
+    while b > limit:
+        a, b = b, a % b
+    y2, rest = divmod(norm - b * b, mod.m)
+    y = isqrt(y2)
+    # for composite N the square test alone could pass on another ideal's
+    # generator: z = (b + y sqrt(-m)) / 2^(1-delta) must lie in I^2 or its conjugate
+    if rest or y * y != y2 or ((b - r * y) % modulus and (b + r * y) % modulus):
         raise NotTwoTorsionError(
             "ideal product has no generator of the required norm; its class is not 2-torsion"
         )
-    if len(survivors) > 1:
-        raise AssertionError(f"generator not unique: {survivors}")
-    return survivors[0]
+    return normalize(mod, b, y, n << (1 - mod.delta))
 
 
 def special_four_element(mod: Modulus) -> Triple | None:
@@ -284,23 +260,27 @@ class BasisTable:
         return got
 
     def _compute_beta(self, p: int) -> BasisElement:
+        """The smallest triple, by (a, c), over the conjugation patterns of the pillars.
+
+        Fixing the ideal above p, every pattern whose product is 2-torsion
+        gives one triple (conjugating all factors gives the same one).
+        """
         cat = self.category_of(p)
-        info = splitting_type(self.mod, p)
-        if cat is Category.TWO_TORSION:
-            triple = two_torsion_triple(self.mod, [(info, 1)])
-            return BasisElement(p, triple, Category.TWO_TORSION)
-        if cat is Category.PILLAR:
-            pl = next(pl for pl in self.pillars if pl.p == p)
-            triple = two_torsion_triple(self.mod, [(pl.info, pl.order)])
-            return BasisElement(p, triple, Category.PILLAR, pillar_index=pl.index)
-        exps = self.exponent_vector(p)
-        n = p
-        for e, pl in zip(exps, self.pillars):
-            n *= pl.p**e.a
-        candidates = _principal_square_triples(self.mod, n)
-        if not candidates:
+        pillar = next(pl for pl in self.pillars if pl.p == p) if cat is Category.PILLAR else None
+        own = (pillar.info, pillar.order) if pillar else (splitting_type(self.mod, p), 1)
+        exps = self.exponent_vector(p) if cat is Category.COMPOSITE else ()
+        moved = [(pl.info, e.a) for e, pl in zip(exps, self.pillars) if e.a]
+        found = []
+        for flips in itertools.product((False, True), repeat=len(moved)):
+            factors = [own, *((info, a, f) for (info, a), f in zip(moved, flips))]
+            try:
+                found.append(two_torsion_triple(self.mod, factors))
+            except NotTwoTorsionError:
+                pass
+        if not found:
             raise AssertionError(f"no primitive triple realizes beta({p})")
-        return BasisElement(p, candidates[0], Category.COMPOSITE, exps=exps)
+        triple = min(found, key=lambda t: (t.a, t.c))
+        return BasisElement(p, triple, cat, pillar.index if pillar else None, exps)
 
     def elements(self, bound: int) -> list[BasisElement]:
         """beta(p) for every split prime p up to bound, ascending.

@@ -23,7 +23,6 @@ from .triples import Triple, add, identity, negate, scalar_mul
 
 __all__ = [
     "DecompositionError",
-    "GeneratorUnavailableError",
     "PrimeIdealRef",
     "Decomposition",
     "ideal_valuations",
@@ -34,10 +33,6 @@ __all__ = [
 
 class DecompositionError(RuntimeError):
     """Internal inconsistency: the descent stalled or recombination failed."""
-
-
-class GeneratorUnavailableError(RuntimeError):
-    """A required basis prime exceeds the allowed bound."""
 
 
 @dataclass(frozen=True, order=True)
@@ -107,12 +102,11 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
 _CATEGORY_RANK = {Category.COMPOSITE: 0, Category.PILLAR: 1, Category.TWO_TORSION: 2}
 
 
-def decompose(basis: BasisTable, t: Triple, bound: int | None = None) -> Decomposition:
+def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     """Express t as an integer combination of basis triples, exactly.
 
-    Basis elements are computed on demand; when bound is given, needing a
-    prime above it raises GeneratorUnavailableError instead.  The returned
-    decomposition has been verified by recombination.
+    Basis elements are computed on demand.  The returned decomposition has
+    been verified by recombination.
     """
     mod = basis.mod
     if t.m != mod.m:
@@ -139,8 +133,6 @@ def decompose(basis: BasisTable, t: Triple, bound: int | None = None) -> Decompo
                 f"residual third component {cur.c} admits no basis prime"
             )
         cat, q = min(ranked)
-        if bound is not None and q > bound:
-            raise GeneratorUnavailableError(f"basis prime {q} exceeds bound {bound}")
         step = basis.beta(q).triple
         v0 = fac[q]
         down = add(cur, negate(step))

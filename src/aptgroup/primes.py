@@ -49,18 +49,7 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 2
-    return True
+    return n >= 1 and all(e == 1 for e in factorize(n).values())
 
 
 # Trial division stops here; larger factors are left to rho.

@@ -1,8 +1,10 @@
-from math import gcd
+import itertools
+from math import gcd, prod
 
 import pytest
 
 from aptgroup.basis import (
+    BasisElement,
     BasisTable,
     Category,
     NotTwoTorsionError,
@@ -11,7 +13,8 @@ from aptgroup.basis import (
     split_primes,
     two_torsion_triple,
 )
-from aptgroup.quadfield import Modulus, splitting_type
+from aptgroup.primes import is_squarefree
+from aptgroup.quadfield import Modulus, ideal_valuation, splitting_type
 from aptgroup.triples import Triple
 
 SPLIT35 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]
@@ -106,6 +109,13 @@ class TestLemmaOneTriple:
         mod = Modulus(974)
         with pytest.raises(ValueError):
             two_torsion_triple(mod, [(splitting_type(mod, 2), 1)])
+
+    def test_rejects_repeated_prime(self):
+        mod = Modulus(23)
+        info = splitting_type(mod, 59)
+        for conj in (False, True):
+            with pytest.raises(ValueError):
+                two_torsion_triple(mod, [(info, 1), (info, 1, conj)])
 
     def test_empty_product_is_identity(self):
         mod = Modulus(23)
@@ -260,3 +270,112 @@ class TestEnumerateBasis:
         a = [el.triple for el in BasisTable(Modulus(974)).elements(100)]
         b = [el.triple for el in BasisTable(Modulus(974)).elements(100)]
         assert a == b
+
+
+# ---- reference oracles: the norm-equation scan and the Hensel filter
+
+
+def scan_triples(mod, n):
+    """Primitive triples with third component n, or 2n when delta = 0, by exhaustive scan.
+
+    These are the triples of the generators of all ideals of norm n^2 with
+    no rational factor, sorted by (a, c).
+    """
+    scales = [(n * n, n)] + ([(4 * n * n, 2 * n)] if mod.delta == 0 else [])
+    out = [Triple(mod.m, u, v, c) for sq, c in scales for u, v in solve_norm_equation(mod, sq) if v > 0]
+    return sorted(out, key=lambda t: (t.a, t.c))
+
+
+def scan_two_torsion_triples(mod, factors):
+    """The scanned triples whose generator has valuation 2e at each odd factor (or all conjugates)."""
+    n = prod(f[0].p ** f[1] for f in factors)
+    odd = [(f[0], f[1], len(f) > 2 and f[2]) for f in factors if f[0].p != 2]
+
+    def matches(u, v):
+        return all(ideal_valuation(mod, u, v, info, conj) == 2 * e for info, e, conj in odd)
+
+    return [t for t in scan_triples(mod, n) if matches(t.a, t.b) or matches(t.a, -t.b)]
+
+
+def scan_beta(bt, p):
+    """beta(p) by the scan: the unique survivor, or the smallest triple for a composite p."""
+    cat = bt.category_of(p)
+    if cat is Category.COMPOSITE:
+        exps = bt.exponent_vector(p)
+        n = p * prod(pl.p**e.a for e, pl in zip(exps, bt.pillars))
+        return BasisElement(p, scan_triples(bt.mod, n)[0], cat, exps=exps)
+    if cat is Category.PILLAR:
+        pillar = next(pl for pl in bt.pillars if pl.p == p)
+        (t,) = scan_two_torsion_triples(bt.mod, [(pillar.info, pillar.order)])
+        return BasisElement(p, t, cat, pillar_index=pillar.index)
+    (t,) = scan_two_torsion_triples(bt.mod, [(splitting_type(bt.mod, p), 1)])
+    return BasisElement(p, t, cat)
+
+
+SWEEP = [m for m in range(5, 400) if is_squarefree(m)]
+# moduli below 3000 with two odd pillars whose composite scans stay short
+TWO_PILLARS = [974, 1513, 1582, 1590, 1598, 1886, 1918, 2329, 2379, 2437, 2542]
+
+
+class TestAgainstScan:
+    def test_beta_sweep(self):
+        for m in SWEEP:
+            bt = BasisTable(Modulus(m))
+            for p in bt.split_primes(100):
+                assert bt.beta(p) == scan_beta(bt, p), (m, p)
+
+    def test_two_torsion_triple_per_pattern(self):
+        # every conjugation pattern of a composite beta's factors: the
+        # scan's generator when the product's class is 2-torsion, else
+        # NotTwoTorsionError; the scan cannot tell the ideals above 2 apart
+        shapes = set()
+        for m in SWEEP + TWO_PILLARS:
+            mod = Modulus(m)
+            bt = BasisTable(mod)
+            table = bt.table
+            for p in bt.split_primes(100):
+                if bt.category_of(p) is not Category.COMPOSITE:
+                    continue
+                moved = [(pl, e.a) for e, pl in zip(bt.exponent_vector(p), bt.pillars) if e.a]
+                for flips in itertools.product((False, True), repeat=len(moved)):
+                    factors = [(splitting_type(mod, p), 1)]
+                    cls = table.class_of_prime(p)
+                    for (pl, a), conj in zip(moved, flips):
+                        factors.append((pl.info, a, conj))
+                        cls = table.compose(cls, table.power(pl.form.inverse() if conj else pl.form, a))
+                    if not table.in_two_torsion(cls):
+                        with pytest.raises(NotTwoTorsionError):
+                            two_torsion_triple(mod, factors)
+                    elif any(f[0].p == 2 for f in factors):
+                        assert two_torsion_triple(mod, factors) in scan_two_torsion_triples(mod, factors)
+                    else:
+                        assert [two_torsion_triple(mod, factors)] == scan_two_torsion_triples(mod, factors)
+                    shapes.add(len(moved))
+        assert shapes == {1, 2}
+
+
+def _norm(bt, el):
+    """Norm of the ideal whose square gives beta(p)."""
+    if el.category is Category.PILLAR:
+        return el.p ** bt.pillars[el.pillar_index - 1].order
+    return el.p * prod(pl.p**e.a for e, pl in zip(el.exps, bt.pillars))
+
+
+@pytest.mark.parametrize("m", [719, 761, 4001, 2966, 1559])
+def test_beta_is_smallest_sympy_solution(m):
+    # moduli whose pillar betas the scan could not reach
+    cornacchia = pytest.importorskip("sympy.solvers.diophantine.diophantine").cornacchia
+    mod = Modulus(m)
+    bt = BasisTable(mod)
+    for p in bt.split_primes(200):
+        el = bt.beta(p)
+        n = _norm(bt, el)
+        scales = [(n, n * n)] + ([(2 * n, 4 * n * n)] if mod.delta == 0 else [])
+        sols = sorted(
+            (Triple(m, int(x), int(y), c) for c, sq in scales for x, y in cornacchia(1, m, sq)
+             if x > 0 and y > 0 and gcd(x, y) == 1),
+            key=lambda t: (t.a, t.c),
+        )
+        assert el.triple == sols[0], (m, p)
+        if el.category is not Category.COMPOSITE:
+            assert len(sols) == 1, (m, p, sols)

@@ -80,6 +80,23 @@ class TestBetaCommand:
         code, out, _ = run(capsys, "beta", "-m", "974", "37", "--cache-dir", str(tmp_path))
         assert code == 0 and "beta(37) = [3167, 108, 4625]" in out
 
+    def test_pillar_of_order_31(self, capsys):
+        # the pillar 2 of m = 719 generates Cl of order 31: c = 2 * 2^31
+        code, out, _ = run(capsys, "beta", "-m", "719", "2")
+        assert code == 0
+        assert out == "beta(2) = [1370212735, 151805367, 4294967296]   pillar  (factor 1)\n"
+        assert 1370212735**2 + 719 * 151805367**2 == 2**64
+
+    def test_composite_with_large_pillar_power(self, capsys):
+        # beta(5) over m = 4001 moves 5 by the 16th power of the conjugate pillar 3
+        code, out, _ = run(capsys, "beta", "-m", "4001", "5", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["triple"] == [165053443, 2183924, 215233605]
+        assert doc["exps"] == [{"a": 16, "conj": True, "j": 1}]
+        assert 215233605 == 5 * 3**16
+        assert 165053443**2 + 4001 * 2183924**2 == 215233605**2
+
     def test_prime_outside_L(self, capsys, tmp_path):
         code, _, err = run(capsys, "beta", "-m", "23", "5", "--cache-dir", str(tmp_path))
         assert code == 2 and "split" in err

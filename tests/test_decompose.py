@@ -3,7 +3,7 @@ import random
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple, decompose, recombine
-from aptgroup.decompose import GeneratorUnavailableError, PrimeIdealRef, ideal_valuations
+from aptgroup.decompose import PrimeIdealRef, ideal_valuations
 from aptgroup.triples import identity
 from aptgroup.primes import factorize
 
@@ -94,10 +94,6 @@ class TestDecompose:
         d3 = decompose(tables23[3], t)
         assert dict(d3.terms) == {2: -3, 3: -1}
         assert recombine(tables23[3], d3) == t
-
-    def test_bound_enforced(self, tables):
-        with pytest.raises(GeneratorUnavailableError):
-            decompose(tables[23], Triple(23, 13, 12, 59), bound=31)
 
     def test_json_shape(self, tables):
         d = decompose(tables[974], Triple(974, 4141, 66, 4625))
