@@ -3,16 +3,17 @@
 Classes are represented by reduced primitive positive definite forms
 A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
 composition (Cohen, GTM 138, Alg. 5.4.7).  Beyond the bare group this module
-recovers the abelian structure and the 2-torsion subgroup, and presents
-the quotient by 2-torsion as a direct sum in which each cyclic factor is
-generated by the image of a chosen split prime ideal (a "pillar").  The
-class groups met here are small (h = 1024 at m = 3000010), so structure
-recovery is done by direct search rather than linear algebra.
+recovers the abelian structure and the 2-torsion subgroup Cl[2].  Squaring
+maps Cl onto its subgroup of squares with kernel Cl[2], so the quotient
+Cl/Cl[2] is presented as that subgroup: a direct sum in which each cyclic
+factor is generated by the square of the class of a chosen split prime
+ideal (a "pillar").  The class groups met here are small (h = 1024 at
+m = 3000010), so structure recovery is done by direct search rather than
+linear algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -27,7 +28,6 @@ __all__ = [
     "principal_form",
     "compose_forms",
     "ClassGroupTable",
-    "primary_structure",
     "Pillar",
     "QuotientData",
     "quotient_setup",
@@ -206,7 +206,6 @@ class ClassGroupTable:
         self.structure: tuple[tuple[FormClass, int], ...] = tuple(
             _peel_structure(self.forms, self.compose, self.identity)
         )
-        self._coset_cache: dict[FormClass, FormClass] = {}
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
 
     def compose(self, f: FormClass, g: FormClass) -> FormClass:
@@ -239,20 +238,6 @@ class ClassGroupTable:
 
     def in_two_torsion(self, f: FormClass) -> bool:
         return f in self._two_set
-
-    def coset_rep(self, f: FormClass) -> FormClass:
-        """Canonical representative of the coset of f modulo the 2-torsion subgroup."""
-        got = self._coset_cache.get(f)
-        if got is None:
-            got = self._coset_cache[f] = min(self.compose(f, e) for e in self.twotorsion)
-        return got
-
-    def quotient_order(self, f: FormClass) -> int:
-        k, cur = 1, f
-        while not self.in_two_torsion(cur):
-            cur = self.compose(cur, f)
-            k += 1
-        return k
 
     def class_of_prime(self, p: int) -> FormClass:
         """The class of the chosen prime ideal over p (the canonical lifting).
@@ -287,19 +272,6 @@ class ClassGroupTable:
         return got
 
 
-def primary_structure(table: ClassGroupTable) -> list[tuple[FormClass, int]]:
-    """Prime-power cyclic decomposition, derived from the invariant factors.
-
-    Each invariant-factor generator of order n splits into one generator of
-    order q^k per prime power in n; results are sorted by descending order.
-    """
-    out = []
-    for g, n in table.structure:
-        for _, qk in _prime_power_parts(n):
-            out.append((table.power(g, n // qk), qk))
-    return sorted(out, key=lambda t: (-t[1], t[0]))
-
-
 @dataclass(frozen=True)
 class Pillar:
     """A split prime whose class image generates one cyclic factor of the quotient."""
@@ -332,19 +304,20 @@ def _prime_power_parts(n: int) -> list[tuple[int, int]]:
 class QuotientData:
     """A direct-sum presentation of Cl modulo 2-torsion by pillar prime images.
 
-    With no override the pillars are selected by a deterministic two-phase
-    rule; see _select_default_pillars.  An explicit override fixes the
-    pillar primes (in order) and only checks that their images decompose
-    the quotient as an internal direct sum.
+    Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
+    quotient is presented as that subgroup: the image of a class f is
+    f * f, and its invariant factors are those of Cl with every even one
+    halved (factors of order 2 vanish).  With no override the pillars are
+    selected by a deterministic two-phase rule; see _select_default_pillars.
+    An explicit override fixes the pillar primes (in order) and only checks
+    that their images decompose the quotient as an internal direct sum.
     """
 
     def __init__(self, table: ClassGroupTable, override: tuple[int, ...] | None = None):
         self.table = table
-        cosets = sorted({table.coset_rep(f) for f in table.forms})
-        self.size = len(cosets)
-        self._cosets = cosets
+        self.size = table.h // len(table.twotorsion)
         self.invariant_factors: tuple[int, ...] = tuple(
-            order for (_, order) in _peel_structure(cosets, self._qmul, table.identity)
+            n // gcd(n, 2) for _, n in table.structure if n > 2
         )
         if self.size == 1:
             self.pillars: tuple[Pillar, ...] = ()
@@ -352,24 +325,32 @@ class QuotientData:
             self.pillars = self._validated_override(override)
         else:
             self.pillars = self._select_default_pillars()
-        self._pillar_powers = [
-            self._rep_powers(pl.form, pl.order) for pl in self.pillars
-        ]
-        self._coords_cache: dict[FormClass, tuple[int, ...]] = {}
+        coords: dict[FormClass, tuple[int, ...]] = {table.identity: ()}
+        for pl in self.pillars:
+            powers = self._powers(pl.form)
+            coords = {
+                table.compose(x, y): exps + (e,)
+                for x, exps in coords.items()
+                for e, y in enumerate(powers)
+            }
+        self._coords = coords
 
-    # -- quotient group helpers (elements are canonical coset reps) --
+    def _image(self, f: FormClass) -> FormClass:
+        return self.table.compose(f, f)
 
-    def _qmul(self, f: FormClass, g: FormClass) -> FormClass:
-        return self.table.coset_rep(self.table.compose(f, g))
-
-    def _rep_powers(self, f: FormClass, order: int) -> list[FormClass]:
-        powers = [self.table.coset_rep(self.table.identity)]
-        for _ in range(order - 1):
-            powers.append(self._qmul(powers[-1], f))
+    def _powers(self, f: FormClass) -> list[FormClass]:
+        """The powers of the image of f, from the identity up."""
+        x = self._image(f)
+        powers = [self.table.identity]
+        while (nxt := self.table.compose(powers[-1], x)) != self.table.identity:
+            powers.append(nxt)
         return powers
 
     def _span(self, f: FormClass) -> frozenset[FormClass]:
-        return frozenset(self._rep_powers(f, self.table.quotient_order(f)))
+        return frozenset(self._powers(f))
+
+    def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
+        return frozenset(self.table.compose(x, y) for x in a for y in b)
 
     def _split_prime_stream(self):
         bound = 256
@@ -386,96 +367,57 @@ class QuotientData:
 
         Phase one builds a primary skeleton: for every prime-power slot q^k
         occurring in the invariant factors (q ascending, powers descending),
-        take the smallest split prime whose quotient image has order exactly
-        q^k and is independent of the skeleton built so far for the same q.
-        Phase two assembles each invariant factor from its skeleton summands
-        and picks the smallest split prime whose image generates exactly that
-        assembled subgroup.  Both phases draw from the split primes in
-        increasing order, so the result is reproducible; if phase two finds
-        no exact generator within the search bound, it falls back to the
-        smallest independent prime of the right order.
+        take the smallest split prime whose image (the square of its class)
+        has order exactly q^k and is independent of the skeleton built so
+        far for the same q.  Phase two assembles each invariant factor from
+        its skeleton summands and picks the smallest split prime whose image
+        generates exactly that assembled subgroup; such a prime exists by
+        Chebotarev density.  Both phases draw from the split primes in
+        increasing order, so the result is reproducible.
         """
         table = self.table
-        ident = table.coset_rep(table.identity)
+        ident = table.identity
         slots: list[tuple[int, int]] = []
         for tau in self.invariant_factors:
             slots.extend(_prime_power_parts(tau))
         slots.sort(key=lambda s: (s[0], -s[1]))
 
-        primes: list[int] = []
-        images: dict[int, FormClass] = {}
-        qorders: dict[int, int] = {}
+        scanned: list[tuple[int, frozenset[FormClass]]] = []  # (p, span of its image)
         stream = self._split_prime_stream()
-
-        def extend_primes() -> int:
-            p = next(stream)
-            primes.append(p)
-            img = table.coset_rep(table.class_of_prime(p))
-            images[p] = img
-            qorders[p] = table.quotient_order(img)
-            return p
 
         def candidates():
             i = 0
             while True:
-                while i >= len(primes):
-                    extend_primes()
-                yield primes[i]
+                if i == len(scanned):
+                    p = next(stream)
+                    scanned.append((p, self._span(table.class_of_prime(p))))
+                yield scanned[i]
                 i += 1
 
         # phase one: primary skeleton
-        skeleton: list[tuple[int, int, int, frozenset[FormClass]]] = []  # (q, q^k, p, span)
-        used: set[int] = set()
+        skeleton: list[tuple[int, int, frozenset[FormClass]]] = []  # (q, q^k, span)
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
             acc = acc_by_q.get(q, frozenset({ident}))
-            for p in candidates():
-                if p in used or qorders[p] != qk:
-                    continue
-                span = self._span(images[p])
-                if span & acc == {ident}:
-                    used.add(p)
-                    skeleton.append((q, qk, p, span))
-                    acc_by_q[q] = frozenset(
-                        self._qmul(x, y) for x in acc for y in span
-                    )
+            for _, span in candidates():
+                if len(span) == qk and span & acc == {ident}:
+                    skeleton.append((q, qk, span))
+                    acc_by_q[q] = self._join(acc, span)
                     break
 
         # phase two: assemble invariant factors and pick exact generators
         remaining = list(skeleton)
         pillars: list[Pillar] = []
-        chosen: set[int] = set()
-        accumulated: frozenset[FormClass] = frozenset({ident})
         for j, tau in enumerate(self.invariant_factors, start=1):
             target: frozenset[FormClass] = frozenset({ident})
             for q, qk in _prime_power_parts(tau):
-                for idx, (qq, qqk, _, span) in enumerate(remaining):
+                for idx, (qq, qqk, span) in enumerate(remaining):
                     if qq == q and qqk == qk:
-                        target = frozenset(self._qmul(x, y) for x in target for y in span)
+                        target = self._join(target, span)
                         del remaining[idx]
                         break
-            pick = None
-            for scanned, p in enumerate(candidates()):
-                if scanned >= 3000:
-                    break
-                if p in chosen or qorders[p] != tau:
-                    continue
-                if self._span(images[p]) == target:
-                    pick = p
-                    break
-            if pick is None:
-                # fallback: smallest independent prime of the right order
-                for p in candidates():
-                    if p in chosen or qorders[p] != tau:
-                        continue
-                    if self._span(images[p]) & accumulated == {ident}:
-                        pick = p
-                        break
-            chosen.add(pick)
-            img = images[pick]
-            accumulated = frozenset(
-                self._qmul(x, y) for x in accumulated for y in self._span(img)
-            )
+            # the targets are distinct subgroups, so no prime is picked twice
+            pick = next(p for p, span in candidates() if span == target)
             pillars.append(
                 Pillar(j, pick, splitting_type(table.mod, pick), tau, table.class_of_prime(pick))
             )
@@ -483,22 +425,20 @@ class QuotientData:
 
     def _validated_override(self, override: tuple[int, ...]) -> tuple[Pillar, ...]:
         table = self.table
-        ident = table.coset_rep(table.identity)
+        ident = table.identity
         pillars = []
         accumulated: frozenset[FormClass] = frozenset({ident})
         for j, p in enumerate(override, start=1):
             if kronecker(table.mod, p) != 1:
                 raise PillarConfigError(f"pillar prime {p} does not split")
             form = table.class_of_prime(p)
-            img = table.coset_rep(form)
-            order = table.quotient_order(img)
-            if order == 1:
+            span = self._span(form)
+            if len(span) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
-            span = self._span(img)
             if span & accumulated != {ident}:
                 raise PillarConfigError(f"pillar prime {p} is not independent of the others")
-            accumulated = frozenset(self._qmul(x, y) for x in accumulated for y in span)
-            pillars.append(Pillar(j, p, splitting_type(table.mod, p), order, form))
+            accumulated = self._join(accumulated, span)
+            pillars.append(Pillar(j, p, splitting_type(table.mod, p), len(span), form))
         if len(accumulated) != self.size:
             raise PillarConfigError(
                 f"pillar images span {len(accumulated)} of {self.size} quotient classes"
@@ -506,19 +446,8 @@ class QuotientData:
         return tuple(pillars)
 
     def coords(self, f: FormClass) -> tuple[int, ...]:
-        """Exponents of the coset of f over the pillar images, one per factor."""
-        rep = self.table.coset_rep(f)
-        got = self._coords_cache.get(rep)
-        if got is not None:
-            return got
-        for exps in itertools.product(*(range(pl.order) for pl in self.pillars)):
-            acc = self.table.coset_rep(self.table.identity)
-            for powers, e in zip(self._pillar_powers, exps):
-                acc = self._qmul(acc, powers[e])
-            if acc == rep:
-                self._coords_cache[rep] = exps
-                return exps
-        raise AssertionError(f"{f} has no pillar coordinates")
+        """Exponents of the image of f over the pillar images, one per factor."""
+        return self._coords[self._image(f)]
 
 
 def quotient_setup(
@@ -528,8 +457,7 @@ def quotient_setup(
 
     With pillars=None the deterministic default rule applies; otherwise the
     given primes are used in order and validated.  When every class is
-    2-torsion the pillar
-    list is empty.
+    2-torsion the pillar list is empty.
     """
     key = tuple(pillars) if pillars is not None else None
     return table.quotient(key)

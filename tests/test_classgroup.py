@@ -9,13 +9,14 @@ from aptgroup.classgroup import (
     DiscriminantMismatchError,
     FormClass,
     PillarConfigError,
+    _peel_structure,
+    _prime_power_parts,
     compose_forms,
-    primary_structure,
     principal_form,
     quotient_setup,
     reduce_form,
 )
-from aptgroup.primes import crt, primes_up_to, xgcd
+from aptgroup.primes import crt, is_squarefree, primes_up_to, xgcd
 from aptgroup.quadfield import Modulus, kronecker, splitting_type
 
 
@@ -180,15 +181,6 @@ class TestEnumerate:
         # h(-7) = 1: trivial group has empty structure
         assert list(ClassGroupTable(Modulus(7)).structure) == []
 
-    def test_primary_structure(self):
-
-        table = ClassGroupTable(Modulus(974))
-        parts = primary_structure(table)
-        assert [o for _, o in parts] == [4, 3, 3]
-        for g, o in parts:
-            assert table.order_of(g) == o
-        assert [o for _, o in primary_structure(ClassGroupTable(Modulus(23)))] == [3]
-
     def test_structure_is_internal_direct_sum(self):
         from itertools import product as iproduct
 
@@ -310,11 +302,180 @@ class TestQuotient:
             acc = table.identity
             for pl, e in zip(q.pillars, exps):
                 acc = compose_forms(acc, table.power(pl.form, e))
-            assert table.coset_rep(acc) == table.coset_rep(f)
+            assert table.compose(acc, acc) == table.compose(f, f)
 
     def test_class_mod_two_torsion(self):
         table = ClassGroupTable(Modulus(974))
-        # p in L0 projects to the identity coset
-        assert table.coset_rep(table.class_of_prime(937)) == table.coset_rep(table.identity)
+        # p in L0 squares to the identity
+        f937 = table.class_of_prime(937)
+        assert table.compose(f937, f937) == table.identity
         # the first pillar generates the C6 factor
-        assert table.quotient_order(table.class_of_prime(5)) == 6
+        f5 = table.class_of_prime(5)
+        assert table.order_of(table.compose(f5, f5)) == 6
+
+
+ORACLE_PRIMES = primes_up_to(1 << 17)
+
+
+class CosetQuotient:
+    """Reference quotient: Cl modulo 2-torsion as canonical coset representatives.
+
+    Each coset is named by its smallest form.  The invariant factors come
+    from a structure peel over the cosets, the default pillars from the
+    two-phase rule in coset arithmetic (with a fallback to the smallest
+    independent prime after 3000 candidates), and the coordinates from a
+    walk over every exponent vector.  Shares only composition, the peel
+    and the prime-power split with QuotientData.
+    """
+
+    def __init__(self, table, override=None):
+        self.table = table
+        self.ident = self.rep(table.identity)
+        self.cosets = sorted({self.rep(f) for f in table.forms})
+        self.invariant_factors = tuple(
+            n for _, n in _peel_structure(self.cosets, self.mul, self.ident)
+        )
+        self._stream = (p for p in ORACLE_PRIMES if kronecker(table.mod, p) == 1)
+        self._split = []
+        self._images = {}
+        if len(self.cosets) == 1:
+            self.pillars = []
+        elif override is not None:
+            self.pillars = self.override_pillars(override)
+        else:
+            self.pillars = self.default_pillars()
+        self._coords = {}
+        for exps in itertools.product(*(range(o) for _, o in self.pillars)):
+            acc = self.ident
+            for (p, _), e in zip(self.pillars, exps):
+                acc = self.mul(acc, table.power(table.class_of_prime(p), e))
+            self._coords.setdefault(acc, exps)
+
+    def rep(self, f):
+        return min(self.table.compose(f, e) for e in self.table.twotorsion)
+
+    def mul(self, f, g):
+        return self.rep(self.table.compose(f, g))
+
+    def split(self):
+        """The split primes in increasing order, computed as far as they are read."""
+        i = 0
+        while True:
+            while i >= len(self._split):
+                self._split.append(next(self._stream))
+            yield self._split[i]
+            i += 1
+
+    def image(self, p):
+        if p not in self._images:
+            self._images[p] = self.rep(self.table.class_of_prime(p))
+        return self._images[p]
+
+    def order(self, f):
+        k, cur = 1, f
+        while not self.table.in_two_torsion(cur):
+            cur = self.table.compose(cur, f)
+            k += 1
+        return k
+
+    def span(self, f):
+        out, cur = {self.ident}, self.rep(f)
+        while cur != self.ident:
+            out.add(cur)
+            cur = self.mul(cur, f)
+        return frozenset(out)
+
+    def join(self, a, b):
+        return frozenset(self.mul(x, y) for x in a for y in b)
+
+    def default_pillars(self):
+        ident = self.ident
+        slots = sorted(
+            (s for tau in self.invariant_factors for s in _prime_power_parts(tau)),
+            key=lambda s: (s[0], -s[1]),
+        )
+        skeleton, used, acc_by_q = [], set(), {}
+        for q, qk in slots:
+            acc = acc_by_q.get(q, frozenset({ident}))
+            for p in self.split():
+                if p in used or self.order(self.image(p)) != qk:
+                    continue
+                span = self.span(self.image(p))
+                if span & acc == {ident}:
+                    used.add(p)
+                    skeleton.append((q, qk, span))
+                    acc_by_q[q] = self.join(acc, span)
+                    break
+        pillars, chosen, accumulated = [], set(), frozenset({ident})
+        for tau in self.invariant_factors:
+            target = frozenset({ident})
+            for q, qk in _prime_power_parts(tau):
+                hit = next(s for s in skeleton if s[:2] == (q, qk))
+                skeleton.remove(hit)
+                target = self.join(target, hit[2])
+            def fits(ps):
+                return (p for p in ps if p not in chosen and self.order(self.image(p)) == tau)
+
+            pick = next((p for p in fits(itertools.islice(self.split(), 3000)) if self.span(self.image(p)) == target), None)
+            if pick is None:
+                pick = next(p for p in fits(self.split()) if self.span(self.image(p)) & accumulated == {ident})
+            chosen.add(pick)
+            accumulated = self.join(accumulated, self.span(self.image(pick)))
+            pillars.append((pick, tau))
+        return pillars
+
+    def override_pillars(self, override):
+        accumulated, pillars = frozenset({self.ident}), []
+        for p in override:
+            if kronecker(self.table.mod, p) != 1:
+                raise PillarConfigError(f"pillar prime {p} does not split")
+            order = self.order(self.image(p))
+            if order == 1:
+                raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
+            span = self.span(self.image(p))
+            if span & accumulated != {self.ident}:
+                raise PillarConfigError(f"pillar prime {p} is not independent of the others")
+            accumulated = self.join(accumulated, span)
+            pillars.append((p, order))
+        if len(accumulated) != len(self.cosets):
+            raise PillarConfigError(
+                f"pillar images span {len(accumulated)} of {len(self.cosets)} quotient classes"
+            )
+        return pillars
+
+    def coords(self, f):
+        return self._coords[self.rep(f)]
+
+
+def assert_matches_coset_oracle(m, override=None):
+    table = ClassGroupTable(Modulus(m))
+    q = quotient_setup(table, override)
+    ref = CosetQuotient(table, override)
+    assert q.invariant_factors == ref.invariant_factors
+    assert q.size == len(ref.cosets)
+    assert [(pl.index, pl.p, pl.order, pl.info, pl.form) for pl in q.pillars] == [
+        (j, p, o, splitting_type(table.mod, p), table.class_of_prime(p))
+        for j, (p, o) in enumerate(ref.pillars, start=1)
+    ]
+    for f in table.forms:
+        assert q.coords(f) == ref.coords(f), (m, f)
+
+
+class TestQuotientAgainstCosetOracle:
+    def test_default_pillars_small_moduli(self):
+        for m in range(5, 400):
+            if is_squarefree(m):
+                assert_matches_coset_oracle(m)
+
+    @pytest.mark.parametrize("m,override", [(23, (2,)), (23, (3,)), (974, (5, 41))])
+    def test_overrides(self, m, override):
+        assert_matches_coset_oracle(m, override)
+
+    @pytest.mark.parametrize("override", [(5, 31), (37,), (7,)])
+    def test_rejected_overrides(self, override):
+        table = ClassGroupTable(Modulus(974))
+        with pytest.raises(PillarConfigError) as ref:
+            CosetQuotient(table, override)
+        with pytest.raises(PillarConfigError) as got:
+            quotient_setup(table, override)
+        assert str(got.value) == str(ref.value)
