@@ -3,13 +3,13 @@
 Classes are represented by reduced primitive positive definite forms
 A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
 composition (Cohen, GTM 138, Alg. 5.4.7).  Beyond the bare group this module
-recovers the abelian structure and the 2-torsion subgroup Cl[2].  Squaring
-maps Cl onto its subgroup of squares with kernel Cl[2], so the quotient
-Cl/Cl[2] is presented as that subgroup: a direct sum in which each cyclic
-factor is generated by the square of the class of a chosen split prime
-ideal (a "pillar").  The class groups met here are small (h = 1024 at
-m = 3000010), so structure recovery is done by direct search rather than
-linear algebra.
+recovers the invariant factors and the 2-torsion subgroup Cl[2], both read
+off the order of every class: Cl[2] is the classes of order at most 2, and
+for each prime q the counts |Cl[q^k]| = #{x : x^(q^k) = 1} fix the q-parts
+of the invariant factors.  Squaring maps Cl onto its subgroup of squares
+with kernel Cl[2], so the quotient Cl/Cl[2] is presented as that subgroup:
+a direct sum in which each cyclic factor is generated by the square of the
+class of a chosen split prime ideal (a "pillar").
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .primes import primes_up_to, xgcd
+from .primes import is_prime, primes_up_to, xgcd
 from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type
 
 __all__ = [
@@ -129,7 +129,8 @@ def compose_forms(f: FormClass, g: FormClass) -> FormClass:
 def _enumerate_reduced(disc: int) -> list[FormClass]:
     out = []
     for a in range(1, isqrt(abs(disc) // 3) + 1):
-        for b in range(-a + 1, a + 1):
+        # b^2 = disc (mod 4) forces b = disc (mod 2)
+        for b in range(-a + 1 + (a + 1 + disc) % 2, a + 1, 2):
             if (b * b - disc) % (4 * a):
                 continue
             c = (b * b - disc) // (4 * a)
@@ -141,55 +142,58 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     return sorted(out)
 
 
-def _peel_structure(elements, mul, ident):
-    """Greedy maximal-order peeling of a finite abelian group.
+def _element_orders(forms, ident: FormClass) -> dict[FormClass, int]:
+    """The order of every form, one walk of powers per cyclic subgroup.
 
-    Returns [(generator, order)] realizing the group as an internal direct
-    sum of cyclic subgroups; the orders are the invariant factors, largest
-    first.  After picking an element of maximal order in the quotient by
-    the span built so far, the element is adjusted by a span element so
-    that its absolute order equals its quotient order (the span is a pure
-    subgroup, so such an adjustment always exists).  Ties are broken by
-    the natural ordering of the elements, so the output is deterministic.
+    Walking g, g^2, ..., g^n = ident gives the order n / gcd(n, k) of every
+    power g^k, so a form met as a power of an earlier one is not walked.
+    Each walk meets at least the phi(n) generators of <g> for the first
+    time, so the walks take O(h log log h) compositions in all.
     """
+    orders = {ident: 1}
+    for g in forms:
+        if g in orders:
+            continue
+        powers = [g]
+        while powers[-1] != ident:
+            powers.append(compose_forms(powers[-1], g))
+        n = len(powers)
+        for k, x in enumerate(powers, start=1):
+            orders[x] = n // gcd(n, k)
+    return orders
 
-    def power(x, k):
-        acc = x
-        for _ in range(k - 1):
-            acc = mul(acc, x)
-        return acc
 
-    out = []
-    span = {ident}
-    while len(span) < len(elements):
-        best, best_ord = None, 0
-        for e in elements:
-            k, cur = 1, e
-            while cur not in span:
-                cur = mul(cur, e)
-                k += 1
-            if k > best_ord:
-                best, best_ord = e, k
-        gen = None
-        for h in sorted(span):
-            cand = mul(best, h)
-            if power(cand, best_ord) == ident:
-                gen = cand
-                break
-        assert gen is not None, "pure-subgroup adjustment must exist"
-        out.append((gen, best_ord))
-        powers = [ident]
-        for _ in range(best_ord - 1):
-            powers.append(mul(powers[-1], gen))
-        span = {mul(s, p) for s in span for p in powers}
-    return out
+def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors, largest first, of the finite abelian group with these element orders.
+
+    For a prime q with q^e exactly dividing the group order, the q-part is
+    a sum of cyclic groups of orders q^(a_1) >= q^(a_2) >= ...; the count
+    c_k = #{x : ord(x) | q^k} is q^(sum_i min(a_i, k)), so c_k / c_(k-1) is
+    q^(r_k) with r_k = #{i : a_i >= k}.  Factor i then holds q^#{k : r_k > i}.
+    """
+    factors: list[int] = []
+    for q, qe in _prime_power_parts(len(orders)):
+        ranks, prev, qk = [], 1, q
+        while qe % qk == 0:
+            count = sum(1 for n in orders if qk % n == 0)
+            ratio, rank = count // prev, 0
+            while ratio > 1:
+                ratio //= q
+                rank += 1
+            ranks.append(rank)
+            prev, qk = count, qk * q
+        factors.extend([1] * (ranks[0] - len(factors)))
+        for i in range(ranks[0]):
+            factors[i] *= q ** sum(1 for r in ranks if r > i)
+    return tuple(factors)
 
 
 class ClassGroupTable:
-    """All reduced forms of one field discriminant, with cached composition.
+    """All reduced forms of one field discriminant, with the order of each.
 
-    The table is immutable after construction and every query is a pure
-    read, so instances may be shared freely between threads.
+    ``structure`` holds the invariant factors of Cl, largest first.  The
+    table is immutable after construction and every query is a pure read,
+    so instances may be shared freely between threads.
     """
 
     def __init__(self, mod: Modulus):
@@ -198,24 +202,10 @@ class ClassGroupTable:
         self.identity = principal_form(self.disc)
         self.forms: tuple[FormClass, ...] = tuple(_enumerate_reduced(self.disc))
         self.h = len(self.forms)
-        self._mul_cache: dict[tuple[FormClass, FormClass], FormClass] = {}
-        self.twotorsion: tuple[FormClass, ...] = tuple(
-            f for f in self.forms if self.compose(f, f) == self.identity
-        )
-        self._two_set = frozenset(self.twotorsion)
-        self.structure: tuple[tuple[FormClass, int], ...] = tuple(
-            _peel_structure(self.forms, self.compose, self.identity)
-        )
+        self._orders = _element_orders(self.forms, self.identity)
+        self.twotorsion: tuple[FormClass, ...] = tuple(f for f in self.forms if self._orders[f] <= 2)
+        self.structure: tuple[int, ...] = _invariant_factors(list(self._orders.values()))
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
-
-    def compose(self, f: FormClass, g: FormClass) -> FormClass:
-        if g < f:
-            f, g = g, f
-        key = (f, g)
-        got = self._mul_cache.get(key)
-        if got is None:
-            got = self._mul_cache[key] = compose_forms(f, g)
-        return got
 
     def power(self, f: FormClass, n: int) -> FormClass:
         result = self.identity
@@ -223,21 +213,17 @@ class ClassGroupTable:
         n = abs(n)
         while n:
             if n & 1:
-                result = self.compose(result, base)
+                result = compose_forms(result, base)
             if n > 1:
-                base = self.compose(base, base)
+                base = compose_forms(base, base)
             n >>= 1
         return result
 
     def order_of(self, f: FormClass) -> int:
-        k, cur = 1, f
-        while cur != self.identity:
-            cur = self.compose(cur, f)
-            k += 1
-        return k
+        return self._orders[f]
 
     def in_two_torsion(self, f: FormClass) -> bool:
-        return f in self._two_set
+        return self._orders[f] <= 2
 
     def class_of_prime(self, p: int) -> FormClass:
         """The class of the chosen prime ideal over p (the canonical lifting).
@@ -317,7 +303,7 @@ class QuotientData:
         self.table = table
         self.size = table.h // len(table.twotorsion)
         self.invariant_factors: tuple[int, ...] = tuple(
-            n // gcd(n, 2) for _, n in table.structure if n > 2
+            n // gcd(n, 2) for n in table.structure if n > 2
         )
         if self.size == 1:
             self.pillars: tuple[Pillar, ...] = ()
@@ -329,20 +315,20 @@ class QuotientData:
         for pl in self.pillars:
             powers = self._powers(pl.form)
             coords = {
-                table.compose(x, y): exps + (e,)
+                compose_forms(x, y): exps + (e,)
                 for x, exps in coords.items()
                 for e, y in enumerate(powers)
             }
         self._coords = coords
 
     def _image(self, f: FormClass) -> FormClass:
-        return self.table.compose(f, f)
+        return compose_forms(f, f)
 
     def _powers(self, f: FormClass) -> list[FormClass]:
         """The powers of the image of f, from the identity up."""
         x = self._image(f)
         powers = [self.table.identity]
-        while (nxt := self.table.compose(powers[-1], x)) != self.table.identity:
+        while (nxt := compose_forms(powers[-1], x)) != self.table.identity:
             powers.append(nxt)
         return powers
 
@@ -350,7 +336,7 @@ class QuotientData:
         return frozenset(self._powers(f))
 
     def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
-        return frozenset(self.table.compose(x, y) for x in a for y in b)
+        return frozenset(compose_forms(x, y) for x in a for y in b)
 
     def _split_prime_stream(self):
         bound = 256
@@ -429,6 +415,8 @@ class QuotientData:
         pillars = []
         accumulated: frozenset[FormClass] = frozenset({ident})
         for j, p in enumerate(override, start=1):
+            if not is_prime(p):
+                raise PillarConfigError(f"pillar {p} is not a prime")
             if kronecker(table.mod, p) != 1:
                 raise PillarConfigError(f"pillar prime {p} does not split")
             form = table.class_of_prime(p)

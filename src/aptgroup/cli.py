@@ -61,7 +61,7 @@ def cmd_classgroup(args) -> int:
             "m": bt.mod.m,
             "disc": bt.mod.disc,
             "h": table.h,
-            "structure": [o for _, o in table.structure],
+            "structure": list(table.structure),
             "two_torsion": len(table.twotorsion),
             "quotient": list(quot.invariant_factors),
             "pillars": [{"p": pl.p, "h": pl.order, "root": pl.info.root} for pl in bt.pillars],
@@ -70,7 +70,7 @@ def cmd_classgroup(args) -> int:
         return 0
     print(f"m = {bt.mod.m}   disc = {bt.mod.disc}")
     print(f"h = {table.h}")
-    print(f"Cl(K) = {_structure_str([o for _, o in table.structure])}")
+    print(f"Cl(K) = {_structure_str(table.structure)}")
     print(f"two-torsion classes: {len(table.twotorsion)}")
     print(f"Cl(K) mod two-torsion = {_structure_str(quot.invariant_factors)}")
     if bt.pillars:

@@ -77,7 +77,7 @@ def _m35_class():
     ok, msg = _expect(bt.table.h, 2)
     if not ok:
         return ok, msg
-    return _expect([o for _, o in bt.table.structure], [2])
+    return _expect(list(bt.table.structure), [2])
 
 
 def _m35_L():
@@ -108,7 +108,7 @@ def _m974_class():
     bt = BasisTable(Modulus(974))
     if bt.table.h != 36:
         return False, f"h = {bt.table.h}"
-    orders = [o for _, o in bt.table.structure]
+    orders = list(bt.table.structure)
     if orders != [12, 3]:
         return False, f"Cl structure {orders}"
     if list(bt.quotient.invariant_factors) != [6, 3]:

@@ -27,9 +27,9 @@ def criterion(num, description):
 
 def test_criterion_1_class_group_structures(tables):
     with criterion(1, "class group structures for m = 35, 23, 974"):
-        assert [o for _, o in tables[35].table.structure] == [2]
-        assert [o for _, o in tables[23].table.structure] == [3]
-        assert [o for _, o in tables[974].table.structure] == [12, 3]
+        assert list(tables[35].table.structure) == [2]
+        assert list(tables[23].table.structure) == [3]
+        assert list(tables[974].table.structure) == [12, 3]
         assert list(tables[974].quotient.invariant_factors) == [6, 3]
 
 

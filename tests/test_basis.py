@@ -13,6 +13,7 @@ from aptgroup.basis import (
     split_primes,
     two_torsion_triple,
 )
+from aptgroup.classgroup import compose_forms
 from aptgroup.primes import is_squarefree
 from aptgroup.quadfield import Modulus, ideal_valuation, splitting_type
 from aptgroup.triples import Triple
@@ -342,7 +343,7 @@ class TestAgainstScan:
                     cls = table.class_of_prime(p)
                     for (pl, a), conj in zip(moved, flips):
                         factors.append((pl.info, a, conj))
-                        cls = table.compose(cls, table.power(pl.form.inverse() if conj else pl.form, a))
+                        cls = compose_forms(cls, table.power(pl.form.inverse() if conj else pl.form, a))
                     if not table.in_two_torsion(cls):
                         with pytest.raises(NotTwoTorsionError):
                             two_torsion_triple(mod, factors)

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -9,7 +9,7 @@ from aptgroup.classgroup import (
     DiscriminantMismatchError,
     FormClass,
     PillarConfigError,
-    _peel_structure,
+    _invariant_factors,
     _prime_power_parts,
     compose_forms,
     principal_form,
@@ -72,6 +72,61 @@ def concordant_compose(f, g):
     b0, _ = crt(bb % (2 * aa), 2 * aa, g.b % (2 * g.a), 2 * g.a)
     a0 = aa * g.a
     return reduce_form(a0, b0, (b0 * b0 - d) // (4 * a0), d)
+
+def _peel_structure(elements, mul, ident):
+    """Greedy maximal-order peeling of a finite abelian group.
+
+    Returns [(generator, order)] realizing the group as an internal direct
+    sum of cyclic subgroups; the orders are the invariant factors, largest
+    first.  After picking an element of maximal order in the quotient by
+    the span built so far, the element is adjusted by a span element so
+    that its absolute order equals its quotient order (the span is a pure
+    subgroup, so such an adjustment always exists).  Ties are broken by
+    the natural ordering of the elements, so the output is deterministic.
+    """
+
+    def power(x, k):
+        acc = x
+        for _ in range(k - 1):
+            acc = mul(acc, x)
+        return acc
+
+    out = []
+    span = {ident}
+    while len(span) < len(elements):
+        best, best_ord = None, 0
+        for e in elements:
+            k, cur = 1, e
+            while cur not in span:
+                cur = mul(cur, e)
+                k += 1
+            if k > best_ord:
+                best, best_ord = e, k
+        gen = None
+        for h in sorted(span):
+            cand = mul(best, h)
+            if power(cand, best_ord) == ident:
+                gen = cand
+                break
+        assert gen is not None, "pure-subgroup adjustment must exist"
+        out.append((gen, best_ord))
+        powers = [ident]
+        for _ in range(best_ord - 1):
+            powers.append(mul(powers[-1], gen))
+        span = {mul(s, p) for s in span for p in powers}
+    return out
+
+
+def omega(n):
+    """Number of distinct prime divisors of n, by trial division."""
+    n, count, q = abs(n), 0, 2
+    while q * q <= n:
+        if n % q == 0:
+            count += 1
+            while n % q == 0:
+                n //= q
+        q += 1
+    return count + (n > 1)
 
 class TestReduceForm:
     @pytest.mark.parametrize(
@@ -176,33 +231,78 @@ class TestEnumerate:
         assert ClassGroupTable(Modulus(m)).h == h
 
     def test_structure_examples(self):
-        assert [o for _, o in ClassGroupTable(Modulus(23)).structure] == [3]
-        assert [o for _, o in ClassGroupTable(Modulus(974)).structure] == [12, 3]
+        assert list(ClassGroupTable(Modulus(23)).structure) == [3]
+        assert list(ClassGroupTable(Modulus(974)).structure) == [12, 3]
         # h(-7) = 1: trivial group has empty structure
         assert list(ClassGroupTable(Modulus(7)).structure) == []
 
-    def test_structure_is_internal_direct_sum(self):
-        from itertools import product as iproduct
+    @pytest.mark.parametrize(
+        "m,want", [(974, (12, 3)), (2437, (6, 3)), (3299, (9, 3)), (3886, (6, 6)), (105, (2, 2, 2))]
+    )
+    def test_structure_examples_of_higher_rank(self, m, want):
+        assert ClassGroupTable(Modulus(m)).structure == want
 
-        for m in (974, 105):
+    def test_structure_and_orders_match_peel_oracle(self):
+        moduli = [m for m in range(5, 400) if is_squarefree(m)] + [974, 2437, 3299, 3886]
+        for m in moduli:
             table = ClassGroupTable(Modulus(m))
-            seen = set()
-            for exps in iproduct(*[range(n) for _, n in table.structure]):
-                acc = table.identity
-                for (g, _), e in zip(table.structure, exps):
-                    acc = table.compose(acc, table.power(g, e))
-                seen.add(acc)
-            assert len(seen) == table.h
-            for g, n in table.structure:
-                assert table.order_of(g) == n
+            peeled = _peel_structure(table.forms, compose_forms, table.identity)
+            assert table.structure == tuple(n for _, n in peeled), m
+            for f in table.forms:
+                k, cur = 1, f
+                while cur != table.identity:
+                    cur = compose_forms(cur, f)
+                    k += 1
+                assert table.order_of(f) == k, (m, f)
 
     def test_structure_orders_multiply_to_h(self):
         for m in (23, 35, 974, 101, 102):
             table = ClassGroupTable(Modulus(m))
             prod = 1
-            for _, o in table.structure:
+            for o in table.structure:
                 prod *= o
             assert prod == table.h
+
+    @pytest.mark.parametrize(
+        "ns,want",
+        [
+            ((), ()),
+            ((2, 2, 2), (2, 2, 2)),
+            ((9, 3), (9, 3)),
+            ((6, 6), (6, 6)),
+            ((8, 4, 2), (8, 4, 2)),
+            ((12, 3), (12, 3)),
+            ((64, 4, 2, 2), (64, 4, 2, 2)),
+            ((4, 3), (12,)),
+            ((2, 4, 3, 5), (60, 2)),
+        ],
+    )
+    def test_invariant_factors_of_synthetic_products(self, ns, want):
+        # element orders of Z/n_1 x ... x Z/n_k, with no forms involved
+        orders = [
+            lcm(*(n // gcd(n, x) for n, x in zip(ns, xs)))
+            for xs in itertools.product(*(range(n) for n in ns))
+        ]
+        assert _invariant_factors(orders) == want
+
+    def test_two_torsion_size_by_genus_theory(self):
+        # |Cl[2]| = 2^(t - 1), t the number of primes dividing the discriminant
+        for m in range(5, 400):
+            if is_squarefree(m):
+                table = ClassGroupTable(Modulus(m))
+                assert len(table.twotorsion) == 2 ** (omega(table.disc) - 1), m
+
+    def test_class_number_formula(self):
+        # h = -(1/|D|) * sum_{a=1}^{|D|-1} chi_D(a) * a, for fundamental D < -4
+        kronecker_symbol = pytest.importorskip(
+            "sympy.functions.combinatorial.numbers"
+        ).kronecker_symbol
+        for m in range(5, 200):
+            if is_squarefree(m):
+                table = ClassGroupTable(Modulus(m))
+                d = table.disc
+                total = sum(int(kronecker_symbol(d, a)) * a for a in range(1, -d))
+                assert table.h * d == total, m
 
     @pytest.mark.parametrize("m,size", [(35, 2), (23, 1), (974, 2)])
     def test_two_torsion_size(self, m, size):
@@ -293,6 +393,12 @@ class TestQuotient:
         with pytest.raises(PillarConfigError):
             quotient_setup(table, (7,))
 
+    @pytest.mark.parametrize("override", [(4,), (1,), (0,), (-5,), (5, 9)])
+    def test_override_rejects_non_prime(self, override):
+        table = ClassGroupTable(Modulus(974))
+        with pytest.raises(PillarConfigError, match="not a prime"):
+            quotient_setup(table, override)
+
     def test_coords_roundtrip(self):
         table = ClassGroupTable(Modulus(974))
         q = quotient_setup(table)
@@ -302,16 +408,16 @@ class TestQuotient:
             acc = table.identity
             for pl, e in zip(q.pillars, exps):
                 acc = compose_forms(acc, table.power(pl.form, e))
-            assert table.compose(acc, acc) == table.compose(f, f)
+            assert compose_forms(acc, acc) == compose_forms(f, f)
 
     def test_class_mod_two_torsion(self):
         table = ClassGroupTable(Modulus(974))
         # p in L0 squares to the identity
         f937 = table.class_of_prime(937)
-        assert table.compose(f937, f937) == table.identity
+        assert compose_forms(f937, f937) == table.identity
         # the first pillar generates the C6 factor
         f5 = table.class_of_prime(5)
-        assert table.order_of(table.compose(f5, f5)) == 6
+        assert table.order_of(compose_forms(f5, f5)) == 6
 
 
 ORACLE_PRIMES = primes_up_to(1 << 17)
@@ -352,10 +458,10 @@ class CosetQuotient:
             self._coords.setdefault(acc, exps)
 
     def rep(self, f):
-        return min(self.table.compose(f, e) for e in self.table.twotorsion)
+        return min(compose_forms(f, e) for e in self.table.twotorsion)
 
     def mul(self, f, g):
-        return self.rep(self.table.compose(f, g))
+        return self.rep(compose_forms(f, g))
 
     def split(self):
         """The split primes in increasing order, computed as far as they are read."""
@@ -374,7 +480,7 @@ class CosetQuotient:
     def order(self, f):
         k, cur = 1, f
         while not self.table.in_two_torsion(cur):
-            cur = self.table.compose(cur, f)
+            cur = compose_forms(cur, f)
             k += 1
         return k
 

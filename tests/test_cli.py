@@ -36,6 +36,12 @@ class TestClassgroupCommand:
                            "--cache-dir", str(tmp_path))
         assert code == 2 and "pillar" in err
 
+    @pytest.mark.parametrize("pillar", ["4", "1", "0", "=-5"])
+    def test_non_prime_pillar_exit_2(self, capsys, pillar):
+        code, _, err = run(capsys, "classgroup", "-m", "974", "--pillar", pillar)
+        assert code == 2 and err.startswith("error:") and "pillar" in err
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         _, out1, _ = run(capsys, "classgroup", "-m", "974", "--json", "--cache-dir", str(tmp_path))
         _, out2, _ = run(capsys, "classgroup", "-m", "974", "--json", "--cache-dir", str(tmp_path))
