@@ -255,6 +255,22 @@ class TestEnumerate:
                     k += 1
                 assert table.order_of(f) == k, (m, f)
 
+    def test_structure_is_internal_direct_sum(self):
+        # generators come from the peel oracle; their orders are table.structure
+        for m in (974, 105):
+            table = ClassGroupTable(Modulus(m))
+            peeled = _peel_structure(table.forms, compose_forms, table.identity)
+            assert tuple(n for _, n in peeled) == table.structure
+            seen = set()
+            for exps in itertools.product(*[range(n) for _, n in peeled]):
+                acc = table.identity
+                for (g, _), e in zip(peeled, exps):
+                    acc = compose_forms(acc, table.power(g, e))
+                seen.add(acc)
+            assert len(seen) == table.h
+            for g, n in peeled:
+                assert table.order_of(g) == n
+
     def test_structure_orders_multiply_to_h(self):
         for m in (23, 35, 974, 101, 102):
             table = ClassGroupTable(Modulus(m))
