@@ -2,7 +2,10 @@
 
 Classes are represented by reduced primitive positive definite forms
 A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
-composition (Cohen, GTM 138, Alg. 5.4.7).  Beyond the bare group this module
+composition (Cohen, GTM 138, Alg. 5.4.7).  The forms are enumerated by
+middle coefficient: for each b, the leading coefficients a are read off the
+divisors of (b^2 - disc)/4, so the cost is O(sqrt|disc|) factorizations
+rather than a scan of every (a, b) pair.  Beyond the bare group this module
 recovers the invariant factors and the 2-torsion subgroup Cl[2], both read
 off the order of every class: Cl[2] is the classes of order at most 2, and
 for each prime q the counts |Cl[q^k]| = #{x : x^(q^k) = 1} fix the q-parts
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .primes import is_prime, primes_up_to, xgcd
+from .primes import factorize, is_prime, primes_up_to, xgcd
 from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type
 
 __all__ = [
@@ -127,18 +130,29 @@ def compose_forms(f: FormClass, g: FormClass) -> FormClass:
 
 
 def _enumerate_reduced(disc: int) -> list[FormClass]:
+    """Every reduced primitive form of discriminant disc, sorted.
+
+    Cohen, GTM 138, section 5.3, with the inner loop over a replaced by
+    divisors: a reduced form has |b| <= a <= c, so 3b^2 <= |disc|, and for
+    each b = disc (mod 2) the leading coefficients are the divisors a of
+    n = (b^2 - disc)/4 with b <= a <= sqrt(n).  That is O(sqrt|disc|)
+    factorizations of numbers below |disc|.
+    """
     out = []
-    for a in range(1, isqrt(abs(disc) // 3) + 1):
-        # b^2 = disc (mod 4) forces b = disc (mod 2)
-        for b in range(-a + 1 + (a + 1 + disc) % 2, a + 1, 2):
-            if (b * b - disc) % (4 * a):
+    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
+        n = (b * b - disc) // 4
+        top = isqrt(n)
+        divisors = [1]
+        for q, e in factorize(n).items():
+            divisors += [d * q**k for k in range(1, e + 1) for d in divisors if d * q**k <= top]
+        for a in divisors:
+            if a < b:
                 continue
-            c = (b * b - disc) // (4 * a)
-            if c < a or gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            if b < 0 and (a == c or a == abs(b)):
-                continue
-            out.append(FormClass(a, b, c))
+            c = n // a
+            if gcd(gcd(a, b), c) == 1:
+                out.append(FormClass(a, b, c))
+                if 0 < b < a < c:
+                    out.append(FormClass(a, -b, c))
     return sorted(out)
 
 
@@ -271,20 +285,7 @@ class Pillar:
 
 def _prime_power_parts(n: int) -> list[tuple[int, int]]:
     """[(q, q^k)] over the prime powers in n."""
-    parts = []
-    q = 2
-    while n > 1:
-        if n % q == 0:
-            qk = 1
-            while n % q == 0:
-                n //= q
-                qk *= q
-        else:
-            q += 1
-            continue
-        parts.append((q, qk))
-        q += 1
-    return parts
+    return [(q, q**e) for q, e in factorize(n).items()]
 
 
 class QuotientData:
@@ -313,7 +314,7 @@ class QuotientData:
             self.pillars = self._select_default_pillars()
         coords: dict[FormClass, tuple[int, ...]] = {table.identity: ()}
         for pl in self.pillars:
-            powers = self._powers(pl.form)
+            powers = self._powers(self._image(pl.form))
             coords = {
                 compose_forms(x, y): exps + (e,)
                 for x, exps in coords.items()
@@ -324,16 +325,15 @@ class QuotientData:
     def _image(self, f: FormClass) -> FormClass:
         return compose_forms(f, f)
 
-    def _powers(self, f: FormClass) -> list[FormClass]:
-        """The powers of the image of f, from the identity up."""
-        x = self._image(f)
+    def _powers(self, x: FormClass) -> list[FormClass]:
+        """The powers of x, from the identity up."""
         powers = [self.table.identity]
         while (nxt := compose_forms(powers[-1], x)) != self.table.identity:
             powers.append(nxt)
         return powers
 
-    def _span(self, f: FormClass) -> frozenset[FormClass]:
-        return frozenset(self._powers(f))
+    def _span(self, x: FormClass) -> frozenset[FormClass]:
+        return frozenset(self._powers(x))
 
     def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
         return frozenset(compose_forms(x, y) for x in a for y in b)
@@ -342,8 +342,10 @@ class QuotientData:
         bound = 256
         seen = 0
         while bound <= max(1 << 20, 64 * abs(self.table.disc)):
-            ps = [p for p in primes_up_to(bound) if kronecker(self.table.mod, p) == 1]
-            yield from ps[seen:]
+            ps = primes_up_to(bound)
+            for p in ps[seen:]:
+                if kronecker(self.table.mod, p) == 1:
+                    yield p
             seen = len(ps)
             bound *= 4
         raise RuntimeError("pillar search exhausted the prime bound")
@@ -359,7 +361,10 @@ class QuotientData:
         its skeleton summands and picks the smallest split prime whose image
         generates exactly that assembled subgroup; such a prime exists by
         Chebotarev density.  Both phases draw from the split primes in
-        increasing order, so the result is reproducible.
+        increasing order, so the result is reproducible.  Scanning a prime
+        costs one composition (its image): phase one reads the image's order
+        before it builds a span, and phase two needs no span, since an
+        element of the cyclic target generates it iff its order is |target|.
         """
         table = self.table
         ident = table.identity
@@ -368,7 +373,7 @@ class QuotientData:
             slots.extend(_prime_power_parts(tau))
         slots.sort(key=lambda s: (s[0], -s[1]))
 
-        scanned: list[tuple[int, frozenset[FormClass]]] = []  # (p, span of its image)
+        scanned: list[tuple[int, FormClass]] = []  # (p, image of its class)
         stream = self._split_prime_stream()
 
         def candidates():
@@ -376,7 +381,7 @@ class QuotientData:
             while True:
                 if i == len(scanned):
                     p = next(stream)
-                    scanned.append((p, self._span(table.class_of_prime(p))))
+                    scanned.append((p, self._image(table.class_of_prime(p))))
                 yield scanned[i]
                 i += 1
 
@@ -385,11 +390,13 @@ class QuotientData:
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
             acc = acc_by_q.get(q, frozenset({ident}))
-            for _, span in candidates():
-                if len(span) == qk and span & acc == {ident}:
-                    skeleton.append((q, qk, span))
-                    acc_by_q[q] = self._join(acc, span)
-                    break
+            for _, image in candidates():
+                if table.order_of(image) == qk:
+                    span = self._span(image)
+                    if span & acc == {ident}:
+                        skeleton.append((q, qk, span))
+                        acc_by_q[q] = self._join(acc, span)
+                        break
 
         # phase two: assemble invariant factors and pick exact generators
         remaining = list(skeleton)
@@ -403,7 +410,11 @@ class QuotientData:
                         del remaining[idx]
                         break
             # the targets are distinct subgroups, so no prime is picked twice
-            pick = next(p for p, span in candidates() if span == target)
+            pick = next(
+                p
+                for p, image in candidates()
+                if image in target and table.order_of(image) == len(target)
+            )
             pillars.append(
                 Pillar(j, pick, splitting_type(table.mod, pick), tau, table.class_of_prime(pick))
             )
@@ -420,7 +431,7 @@ class QuotientData:
             if kronecker(table.mod, p) != 1:
                 raise PillarConfigError(f"pillar prime {p} does not split")
             form = table.class_of_prime(p)
-            span = self._span(form)
+            span = self._span(self._image(form))
             if len(span) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
             if span & accumulated != {ident}:

@@ -46,7 +46,7 @@ def _add_cache_dir(sub):
 
 
 def _add_common(sub):
-    sub.add_argument("-m", type=int, required=True, help="square-free modulus m > 3")
+    sub.add_argument("-m", type=int, required=True, help="square-free modulus, 3 < m <= 10^10")
     sub.add_argument("--pillar", type=_pillar_arg, action="append", default=None,
                      metavar="P", help="override pillar primes (repeatable, ordered; 'p=2' also accepted)")
     sub.add_argument("--json", action="store_true", help="canonical JSON output")

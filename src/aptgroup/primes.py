@@ -52,32 +52,33 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for e in factorize(n).values())
 
 
-# Trial division stops here; larger factors are left to rho.
-_TRIAL_BOUND = 1000
+# Trial division runs over the primes below 1000; larger factors are left to rho.
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1.
 
-    Trial division removes the primes below 1000; the cofactor is split by
-    Pollard-Brent rho until every part passes Miller-Rabin.
+    Trial division removes the primes below 1000; once a trial prime passes
+    the square root of what is left, that cofactor is 1 or a prime.
+    Otherwise the cofactor is split by Pollard-Brent rho until every part
+    passes Miller-Rabin.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < _TRIAL_BOUND:
-        while n % d == 0:
-            n //= d
-            out[d] = out.get(d, 0) + 1
-        d += wheel[i]
-        i = (i + 1) % 8
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            # no factor below p is left, so n is 1 or a prime above every key
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()

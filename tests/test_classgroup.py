@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -9,6 +9,7 @@ from aptgroup.classgroup import (
     DiscriminantMismatchError,
     FormClass,
     PillarConfigError,
+    _enumerate_reduced,
     _invariant_factors,
     _prime_power_parts,
     compose_forms,
@@ -115,6 +116,28 @@ def _peel_structure(elements, mul, ident):
             powers.append(mul(powers[-1], gen))
         span = {mul(s, p) for s in span for p in powers}
     return out
+
+
+def enumerate_by_scan(disc):
+    """Reduced primitive forms of discriminant disc, by scanning every (a, b).
+
+    O(|disc|): for each a <= sqrt(|disc|/3) and each b in (-a, a] of the
+    parity of disc, keep (a, b, c) when 4a divides b^2 - disc and the form
+    is reduced and primitive.  Shares no code with the divisor enumeration.
+    """
+    out = []
+    for a in range(1, isqrt(abs(disc) // 3) + 1):
+        # b^2 = disc (mod 4) forces b = disc (mod 2)
+        for b in range(-a + 1 + (a + 1 + disc) % 2, a + 1, 2):
+            if (b * b - disc) % (4 * a):
+                continue
+            c = (b * b - disc) // (4 * a)
+            if c < a or gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            if b < 0 and (a == c or a == abs(b)):
+                continue
+            out.append(FormClass(a, b, c))
+    return sorted(out)
 
 
 def omega(n):
@@ -229,6 +252,12 @@ class TestEnumerate:
     @pytest.mark.parametrize("m,h", [(35, 2), (23, 3), (974, 36)])
     def test_class_numbers(self, m, h):
         assert ClassGroupTable(Modulus(m)).h == h
+
+    def test_matches_scan_oracle(self):
+        moduli = [m for m in range(5, 3000) if is_squarefree(m)] + [2000002, 3000010]
+        for m in moduli:
+            disc = Modulus(m).disc
+            assert _enumerate_reduced(disc) == enumerate_by_scan(disc), m
 
     def test_structure_examples(self):
         assert list(ClassGroupTable(Modulus(23)).structure) == [3]
@@ -381,6 +410,19 @@ class TestQuotient:
         q = quotient_setup(ClassGroupTable(Modulus(974)))
         assert [(pl.p, pl.order) for pl in q.pillars] == [(5, 6), (41, 3)]
         assert list(q.invariant_factors) == [6, 3]
+
+    @pytest.mark.parametrize(
+        "m,structure,pillars",
+        [
+            (10000019, (1275,), [(3, 1275)]),
+            (30000001, (3496,), [(7, 1748)]),
+            (3000010, (64, 4, 2, 2), [(11, 32), (181, 2)]),
+        ],
+    )
+    def test_pillars_of_large_class_groups(self, m, structure, pillars):
+        table = ClassGroupTable(Modulus(m))
+        assert table.structure == structure
+        assert [(pl.p, pl.order) for pl in quotient_setup(table).pillars] == pillars
 
     def test_empty_when_E_is_everything(self):
         q = quotient_setup(ClassGroupTable(Modulus(35)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aptgroup
 from aptgroup.cli import main
 
 
@@ -41,6 +46,19 @@ class TestClassgroupCommand:
         code, _, err = run(capsys, "classgroup", "-m", "974", "--pillar", pillar)
         assert code == 2 and err.startswith("error:") and "pillar" in err
         assert "Traceback" not in err
+
+    def test_huge_modulus_exit_2(self):
+        # 10^47 + 3 is over the size limit: refused before m is factored
+        src = str(Path(aptgroup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aptgroup.cli", "classgroup", "-m",
+             "100000000000000000000000000000000000000000000003"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "10^10" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_deterministic_output(self, capsys, tmp_path):
         _, out1, _ = run(capsys, "classgroup", "-m", "974", "--json", "--cache-dir", str(tmp_path))

@@ -15,7 +15,40 @@ LARGE = [
 ]
 
 
+def naive_factorize(n):
+    out, q = {}, 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 class TestFactorize:
+    # trial division runs over the primes below 1000: 997 is the last, 1009 the next
+    @pytest.mark.parametrize(
+        "n,want",
+        [
+            (997**2, {997: 2}),
+            (997 * 1009, {997: 1, 1009: 1}),
+            (1009 * 1013, {1009: 1, 1013: 1}),
+            (2 * 997**2, {2: 1, 997: 2}),
+            (991 * 997, {991: 1, 997: 1}),
+            (1000003, {1000003: 1}),  # the first prime above 1000^2
+            (7 * 1000003, {7: 1, 1000003: 1}),
+        ],
+    )
+    def test_around_the_trial_bound(self, n, want):
+        assert factorize(n) == want
+        assert list(factorize(n)) == sorted(want)
+
+    def test_matches_naive_trial_division(self):
+        for n in range(1, 20001):
+            assert factorize(n) == naive_factorize(n), n
+
     @pytest.mark.parametrize("n,want", LARGE)
     def test_large_prime_factors(self, n, want):
         assert factorize(n) == want

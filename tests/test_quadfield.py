@@ -2,6 +2,7 @@ import pytest
 
 from aptgroup.primes import primes_up_to
 from aptgroup.quadfield import (
+    MAX_MODULUS,
     InvalidModulusError,
     Modulus,
     SplitKind,
@@ -28,6 +29,15 @@ class TestModulus:
     def test_rejects_small(self, m):
         with pytest.raises(InvalidModulusError):
             Modulus(m)
+
+    @pytest.mark.parametrize("m", [MAX_MODULUS + 1, 10**10 + 19, 10**47 + 3])
+    def test_rejects_large(self, m):
+        with pytest.raises(InvalidModulusError, match=r"10\^10"):
+            Modulus(m)
+
+    def test_accepts_up_to_the_limit(self):
+        assert MAX_MODULUS == 10**10
+        assert Modulus(9999999967).disc == -9999999967
 
     def test_disc_residue(self):
         for m in range(5, 200):
