@@ -12,7 +12,7 @@ the layers of that pipeline; the names below are the documented API and
 the errors behind the command line's exit codes.
 """
 
-from .basis import BasisTable
+from .basis import BasisTable, BoundTooLargeError
 from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose, recombine
 from .quadfield import InvalidModulusError, Modulus
@@ -30,6 +30,7 @@ __all__ = [
     # exit code 2
     "InvalidModulusError",
     "PillarConfigError",
+    "BoundTooLargeError",
     # exit code 3
     "NotASolutionError",
     # exit code 4

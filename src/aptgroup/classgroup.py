@@ -221,18 +221,6 @@ class ClassGroupTable:
         self.structure: tuple[int, ...] = _invariant_factors(list(self._orders.values()))
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
 
-    def power(self, f: FormClass, n: int) -> FormClass:
-        result = self.identity
-        base = f if n >= 0 else f.inverse()
-        n = abs(n)
-        while n:
-            if n & 1:
-                result = compose_forms(result, base)
-            if n > 1:
-                base = compose_forms(base, base)
-            n >>= 1
-        return result
-
     def order_of(self, f: FormClass) -> int:
         return self._orders[f]
 

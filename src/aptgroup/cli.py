@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .basis import BasisTable
+from .basis import MAX_BOUND, BasisTable, BoundTooLargeError
 from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose
 from .fixtures import run_fixtures
@@ -104,6 +104,9 @@ def cmd_generators(args) -> int:
     if args.bound < 2:
         print("error: --bound must be at least 2", file=sys.stderr)
         return 2
+    if args.bound > MAX_BOUND:
+        # before the class group, which takes seconds for m near its limit
+        raise BoundTooLargeError(args.bound)
     bt = _get_table(args)
     elements = bt.elements(args.bound)
     if args.json:
@@ -181,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("generators", help="basis triples beta(p) for p up to a bound")
     _add_common(p)
-    p.add_argument("--bound", type=int, required=True, help="largest prime to include")
+    p.add_argument("--bound", type=int, required=True,
+                   help="largest prime to include, 2 <= BOUND <= 10^6")
     p.set_defaults(func=cmd_generators)
 
     p = subs.add_parser("beta", help="one basis triple")
@@ -206,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidModulusError, PillarConfigError) as exc:
+    except (InvalidModulusError, PillarConfigError, BoundTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

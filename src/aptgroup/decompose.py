@@ -5,7 +5,8 @@ coefficients are recovered by valuation descent on the third component:
 while some odd-part prime q remains, one of t +- beta(q) strictly lowers
 the q-adic valuation, and the sign that works contributes the coefficient.
 Composite primes are cleared first (their basis triples re-inject only
-pillar primes and 2), then pillars, then the ideal-wise 2-torsion primes;
+pillar primes and 2), then pillars, then the ideal-wise 2-torsion primes,
+each prime's category read off its cached basis element beta(q);
 for m in {7, 15} a residual power of 2 is cleared by the distinguished
 [q, r, 4] element, whose coefficient is reported separately.  The result
 is verified by exact recombination before it is returned.
@@ -127,7 +128,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
                 raise DecompositionError(
                     f"prime {q} divides the third component but is outside L"
                 )
-            ranked.append((_CATEGORY_RANK[basis.category_of(q)], q))
+            ranked.append((_CATEGORY_RANK[basis.beta(q).category], q))
         if not ranked:
             raise DecompositionError(
                 f"residual third component {cur.c} admits no basis prime"

@@ -13,11 +13,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Primality: a set lookup below 1000, deterministic Miller-Rabin above."""
+    if n < 1000:
+        return n in _SMALL_PRIMES
     for p in _MR_WITNESSES:
         if n % p == 0:
-            return n == p
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -54,6 +55,7 @@ def is_squarefree(n: int) -> bool:
 
 # Trial division runs over the primes below 1000; larger factors are left to rho.
 _TRIAL_PRIMES = tuple(primes_up_to(1000))
+_SMALL_PRIMES = frozenset(_TRIAL_PRIMES)
 
 
 def factorize(n: int) -> dict[int, int]:

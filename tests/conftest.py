@@ -3,6 +3,9 @@ from math import gcd, isqrt
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
+from aptgroup.basis import BasisElement
+from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
+from aptgroup.primes import factorize
 
 WORKED_M = (23, 35, 974)
 
@@ -35,3 +38,22 @@ def brute_triples(m: int, cmax: int) -> list[Triple]:
                 out.append(Triple(m, u, v, c))
             v += 1
     return out
+
+
+def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:
+    """f^n in the class group (n may be negative), by binary powering."""
+    result = table.identity
+    base = f if n >= 0 else f.inverse()
+    n = abs(n)
+    while n:
+        if n & 1:
+            result = compose_forms(result, base)
+        if n > 1:
+            base = compose_forms(base, base)
+        n >>= 1
+    return result
+
+
+def third_shape(el: BasisElement) -> dict[int, int]:
+    """Prime factorization of a basis triple's third component."""
+    return factorize(el.triple.c)

@@ -2,6 +2,7 @@ import itertools
 from math import gcd, prod
 
 import pytest
+from conftest import form_power, third_shape
 
 from aptgroup.basis import (
     BasisElement,
@@ -216,16 +217,16 @@ class TestBeta:
 
     def test_third_shape(self, tables):
         bt = tables[974]
-        assert bt.beta(37).third_shape() == {5: 3, 37: 1}
-        assert bt.beta(5).third_shape() == {5: 6}
-        assert bt.beta(937).third_shape() == {937: 1}
+        assert third_shape(bt.beta(37)) == {5: 3, 37: 1}
+        assert third_shape(bt.beta(5)) == {5: 6}
+        assert third_shape(bt.beta(937)) == {937: 1}
 
     def test_third_shape_matches_category(self, tables, tables23):
         for bt in (*tables.values(), tables23[2], tables23[3]):
             mod = bt.mod
             pillar_order = {pl.p: pl.order for pl in bt.pillars}
             for el in bt.elements(60):
-                shape = el.third_shape()
+                shape = third_shape(el)
                 two_part = shape.pop(2, 0)
                 # expected odd part and the 2-power carried by p and pillars
                 if el.category is Category.TWO_TORSION:
@@ -318,6 +319,19 @@ SWEEP = [m for m in range(5, 400) if is_squarefree(m)]
 TWO_PILLARS = [974, 1513, 1582, 1590, 1598, 1886, 1918, 2329, 2379, 2437, 2542]
 
 
+class TestCategoryConsistency:
+    def test_category_and_exponents_match_beta(self):
+        # decompose ranks primes by the cached beta(p).category
+        for m in SWEEP:
+            bt = BasisTable(Modulus(m))
+            for p in bt.split_primes(100):
+                cat = bt.category_of(p)
+                el = bt.beta(p)
+                assert cat == el.category, (m, p)
+                if cat is Category.COMPOSITE:
+                    assert bt.exponent_vector(p) == el.exps, (m, p)
+
+
 class TestAgainstScan:
     def test_beta_sweep(self):
         for m in SWEEP:
@@ -343,7 +357,7 @@ class TestAgainstScan:
                     cls = table.class_of_prime(p)
                     for (pl, a), conj in zip(moved, flips):
                         factors.append((pl.info, a, conj))
-                        cls = compose_forms(cls, table.power(pl.form.inverse() if conj else pl.form, a))
+                        cls = compose_forms(cls, form_power(table, pl.form.inverse() if conj else pl.form, a))
                     if not table.in_two_torsion(cls):
                         with pytest.raises(NotTwoTorsionError):
                             two_torsion_triple(mod, factors)

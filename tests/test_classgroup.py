@@ -3,6 +3,7 @@ import random
 from math import gcd, isqrt, lcm
 
 import pytest
+from conftest import form_power
 
 from aptgroup.classgroup import (
     ClassGroupTable,
@@ -245,7 +246,7 @@ class TestCompose:
         table = ClassGroupTable(Modulus(m))
         for f in table.forms:
             assert table.h % table.order_of(f) == 0
-        assert table.power(table.forms[-1], table.h) == table.identity
+        assert form_power(table, table.forms[-1], table.h) == table.identity
 
 
 class TestEnumerate:
@@ -294,7 +295,7 @@ class TestEnumerate:
             for exps in itertools.product(*[range(n) for _, n in peeled]):
                 acc = table.identity
                 for (g, _), e in zip(peeled, exps):
-                    acc = compose_forms(acc, table.power(g, e))
+                    acc = compose_forms(acc, form_power(table, g, e))
                 seen.add(acc)
             assert len(seen) == table.h
             for g, n in peeled:
@@ -465,7 +466,7 @@ class TestQuotient:
             exps = q.coords(f)
             acc = table.identity
             for pl, e in zip(q.pillars, exps):
-                acc = compose_forms(acc, table.power(pl.form, e))
+                acc = compose_forms(acc, form_power(table, pl.form, e))
             assert compose_forms(acc, acc) == compose_forms(f, f)
 
     def test_class_mod_two_torsion(self):
@@ -512,7 +513,7 @@ class CosetQuotient:
         for exps in itertools.product(*(range(o) for _, o in self.pillars)):
             acc = self.ident
             for (p, _), e in zip(self.pillars, exps):
-                acc = self.mul(acc, table.power(table.class_of_prime(p), e))
+                acc = self.mul(acc, form_power(table, table.class_of_prime(p), e))
             self._coords.setdefault(acc, exps)
 
     def rep(self, f):

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import aptgroup
+from aptgroup import cli
+from aptgroup.basis import BoundTooLargeError
 from aptgroup.cli import main
 
 
@@ -89,6 +91,29 @@ class TestGeneratorsCommand:
         code, _, err = run(capsys, "generators", "-m", "35", "--bound", "1",
                            "--cache-dir", str(tmp_path))
         assert code == 2 and "bound" in err
+
+    def test_bound_over_limit_exit_2(self, capsys, monkeypatch):
+        # refused before the class group is built
+        monkeypatch.setattr(cli, "_get_table", lambda args: pytest.fail("table built"))
+        code, out, err = run(capsys, "generators", "-m", "9999999967", "--bound", "1000001")
+        assert code == 2 and out == "" and err.startswith("error:") and "10^6" in err
+
+    def test_library_bound_over_limit(self, tables):
+        with pytest.raises(BoundTooLargeError, match="10\\^6"):
+            tables[35].elements(1000001)
+
+    def test_huge_bound_exit_2(self):
+        # refused before the sieve of 10^18 bytes is allocated
+        src = str(Path(aptgroup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aptgroup.cli", "generators", "-m", "35",
+             "--bound", "1000000000000000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "10^6" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json(self, capsys, tmp_path):
         code, out, _ = run(capsys, "generators", "-m", "974", "--bound", "5", "--json",

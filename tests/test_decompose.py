@@ -1,6 +1,8 @@
 import random
+from math import isqrt
 
 import pytest
+from conftest import brute_triples
 
 from aptgroup import BasisTable, Modulus, Triple, decompose, recombine
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
@@ -159,3 +161,21 @@ class TestRoundTrips:
         assert t == Triple(35, 906413495341, -71425202196, 1000070001221)
         d = decompose(bt, t)
         assert dict(d.terms) == {1000033: 1, 1000037: 1} and d.verified
+
+
+class TestBruteForceTriples:
+    def test_every_small_triple_decomposes_on_its_primes(self):
+        # the triples come from an exhaustive scan, not from recombine: every
+        # primitive triple with b > 0 and c <= 400, over each square-free 5 <= m < 400
+        count = 0
+        for m in range(5, 400):
+            if any(m % (q * q) == 0 for q in range(2, isqrt(m) + 1)):
+                continue
+            bt = BasisTable(Modulus(m))
+            pillars_and_two = {2} | {pl.p for pl in bt.pillars}
+            for t in brute_triples(m, 400):
+                d = decompose(bt, t)
+                assert d.verified, t
+                assert all(t.c % p == 0 or p in pillars_and_two for p, _ in d.terms), (t, d.terms)
+                count += 1
+        assert count == 7139

@@ -1,8 +1,10 @@
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
+from aptgroup.cli import main
 from aptgroup.primes import factorize, is_prime
+from aptgroup.quadfield import Modulus, kronecker
 
 # (n, factorization) with every prime factor above the trial-division range
 LARGE = [
@@ -63,3 +65,21 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+
+class TestIsPrime:
+    # n < 1000 is a set lookup: 997 is the last prime below the cut, 1009 the first above
+    def test_matches_trial_division_across_the_lookup(self):
+        for n in range(-5, 3000):
+            assert is_prime(n) == (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 999, 1001])
+    def test_kronecker_rejects_non_primes(self, n):
+        with pytest.raises(ValueError, match="not prime"):
+            kronecker(Modulus(35), n)
+
+    @pytest.mark.parametrize("p", ["4", "1001"])
+    def test_cli_beta_of_non_prime_exit_2(self, capsys, p):
+        code = main(["beta", "-m", "35", p])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error:") and "not prime" in out.err and "Traceback" not in out.err
