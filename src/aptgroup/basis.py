@@ -11,11 +11,13 @@ triple, built from a prime-ideal product whose class is 2-torsion:
   * all other split primes: the chosen ideal is first multiplied into the
     2-torsion subgroup by canonical pillar exponents of at most half the
     pillar order (conjugate pillars absorb the rest), and among the triples
-    of all conjugation patterns of those pillar factors the one with the
-    smallest first component wins.
+    of the admissible conjugation patterns of those pillar factors (the
+    canonical flags, with both flags for an exponent of exactly half the
+    pillar order) the one with the smallest first component wins.
 
 Each triple comes from the generator of a squared ideal, found by
-Cornacchia's algorithm (two_torsion_triple): one Euclid run per pattern.
+Cornacchia's algorithm (two_torsion_triple): one Euclid run per
+admissible pattern.
 The image of beta, together with the distinguished [q, r, 4] element for
 m in {7, 15}, generates the triple group freely.
 """
@@ -280,24 +282,22 @@ class BasisTable:
         return got
 
     def _compute_beta(self, p: int) -> BasisElement:
-        """The smallest triple, by (a, c), over the conjugation patterns of the pillars.
+        """The smallest triple, by (a, c), over the admissible conjugation patterns.
 
-        Fixing the ideal above p, every pattern whose product is 2-torsion
-        gives one triple (conjugating all factors gives the same one).
+        The canonical flags put the product into 2-torsion.  Flipping pillar
+        j moves its class by the pillar's class to the power -+2a, which by
+        the independence of the pillar images stays 2-torsion iff 2a = h.
         """
         cat, exps = self._classify(p)
         pillar = next(pl for pl in self.pillars if pl.p == p) if cat is Category.PILLAR else None
         own = (pillar.info, pillar.order) if pillar else (splitting_type(self.mod, p), 1)
-        moved = [(pl.info, e.a) for e, pl in zip(exps, self.pillars) if e.a]
-        found = []
-        for flips in itertools.product((False, True), repeat=len(moved)):
-            factors = [own, *((info, a, f) for (info, a), f in zip(moved, flips))]
-            try:
-                found.append(two_torsion_triple(self.mod, factors))
-            except NotTwoTorsionError:
-                pass
-        if not found:
-            raise AssertionError(f"no primitive triple realizes beta({p})")
+        choices = [
+            [(pl.info, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
+            for e, pl in zip(exps, self.pillars)
+            if e.a
+        ]
+        patterns = itertools.product(*choices)
+        found = [two_torsion_triple(self.mod, [own, *pattern]) for pattern in patterns]
         triple = min(found, key=lambda t: (t.a, t.c))
         return BasisElement(p, triple, cat, pillar.index if pillar else None, exps)
 

@@ -282,10 +282,11 @@ class QuotientData:
     Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
     quotient is presented as that subgroup: the image of a class f is
     f * f, and its invariant factors are those of Cl with every even one
-    halved (factors of order 2 vanish).  With no override the pillars are
-    selected by a deterministic two-phase rule; see _select_default_pillars.
-    An explicit override fixes the pillar primes (in order) and only checks
-    that their images decompose the quotient as an internal direct sum.
+    halved (factors of order 2 vanish).  The pillar primes, an override in
+    the given order or the default two-phase choice, go through one
+    construction: it grows the coordinates factor by factor and checks the
+    internal direct sum, as |A * B| = |A| |B| exactly when A and B meet
+    only in the identity.
     """
 
     def __init__(self, table: ClassGroupTable, override: tuple[int, ...] | None = None):
@@ -294,20 +295,32 @@ class QuotientData:
         self.invariant_factors: tuple[int, ...] = tuple(
             n // gcd(n, 2) for n in table.structure if n > 2
         )
-        if self.size == 1:
-            self.pillars: tuple[Pillar, ...] = ()
-        elif override is not None:
-            self.pillars = self._validated_override(override)
-        else:
-            self.pillars = self._select_default_pillars()
+        primes = self._select_default_pillars() if override is None else override
         coords: dict[FormClass, tuple[int, ...]] = {table.identity: ()}
-        for pl in self.pillars:
-            powers = self._powers(self._image(pl.form))
-            coords = {
+        pillars = []
+        for j, p in enumerate(primes, start=1):
+            if not is_prime(p):
+                raise PillarConfigError(f"pillar {p} is not a prime")
+            if kronecker(table.mod, p) != 1:
+                raise PillarConfigError(f"pillar prime {p} does not split")
+            form = table.class_of_prime(p)
+            powers = self._powers(self._image(form))
+            if len(powers) == 1:
+                raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
+            grown = {
                 compose_forms(x, y): exps + (e,)
                 for x, exps in coords.items()
                 for e, y in enumerate(powers)
             }
+            if len(grown) != len(coords) * len(powers):
+                raise PillarConfigError(f"pillar prime {p} is not independent of the others")
+            coords = grown
+            pillars.append(Pillar(j, p, splitting_type(table.mod, p), len(powers), form))
+        if len(coords) != self.size:
+            raise PillarConfigError(
+                f"pillar images span {len(coords)} of {self.size} quotient classes"
+            )
+        self.pillars: tuple[Pillar, ...] = tuple(pillars)
         self._coords = coords
 
     def _image(self, f: FormClass) -> FormClass:
@@ -319,9 +332,6 @@ class QuotientData:
         while (nxt := compose_forms(powers[-1], x)) != self.table.identity:
             powers.append(nxt)
         return powers
-
-    def _span(self, x: FormClass) -> frozenset[FormClass]:
-        return frozenset(self._powers(x))
 
     def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
         return frozenset(compose_forms(x, y) for x in a for y in b)
@@ -338,8 +348,8 @@ class QuotientData:
             bound *= 4
         raise RuntimeError("pillar search exhausted the prime bound")
 
-    def _select_default_pillars(self) -> tuple[Pillar, ...]:
-        """Deterministic pillar choice.
+    def _select_default_pillars(self) -> tuple[int, ...]:
+        """The default pillar primes, one per invariant factor.
 
         Phase one builds a primary skeleton: for every prime-power slot q^k
         occurring in the invariant factors (q ascending, powers descending),
@@ -348,7 +358,8 @@ class QuotientData:
         far for the same q.  Phase two assembles each invariant factor from
         its skeleton summands and picks the smallest split prime whose image
         generates exactly that assembled subgroup; such a prime exists by
-        Chebotarev density.  Both phases draw from the split primes in
+        Chebotarev density; factor j takes the j-th slot of each q, as both
+        descend.  Both phases draw from the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
         costs one composition (its image): phase one reads the image's order
         before it builds a span, and phase two needs no span, since an
@@ -373,64 +384,29 @@ class QuotientData:
                 yield scanned[i]
                 i += 1
 
-        # phase one: primary skeleton
-        skeleton: list[tuple[int, int, frozenset[FormClass]]] = []  # (q, q^k, span)
+        # phase one: primary skeleton, the spans of each q by descending order
+        skeleton: dict[int, list[frozenset[FormClass]]] = {}
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
             acc = acc_by_q.get(q, frozenset({ident}))
             for _, image in candidates():
                 if table.order_of(image) == qk:
-                    span = self._span(image)
+                    span = frozenset(self._powers(image))
                     if span & acc == {ident}:
-                        skeleton.append((q, qk, span))
+                        skeleton.setdefault(q, []).append(span)
                         acc_by_q[q] = self._join(acc, span)
                         break
 
         # phase two: assemble invariant factors and pick exact generators
-        remaining = list(skeleton)
-        pillars: list[Pillar] = []
-        for j, tau in enumerate(self.invariant_factors, start=1):
+        picks = []
+        for j, tau in enumerate(self.invariant_factors):
             target: frozenset[FormClass] = frozenset({ident})
-            for q, qk in _prime_power_parts(tau):
-                for idx, (qq, qqk, span) in enumerate(remaining):
-                    if qq == q and qqk == qk:
-                        target = self._join(target, span)
-                        del remaining[idx]
-                        break
+            for q, _ in _prime_power_parts(tau):
+                target = self._join(target, skeleton[q][j])
             # the targets are distinct subgroups, so no prime is picked twice
-            pick = next(
-                p
-                for p, image in candidates()
-                if image in target and table.order_of(image) == len(target)
-            )
-            pillars.append(
-                Pillar(j, pick, splitting_type(table.mod, pick), tau, table.class_of_prime(pick))
-            )
-        return tuple(pillars)
-
-    def _validated_override(self, override: tuple[int, ...]) -> tuple[Pillar, ...]:
-        table = self.table
-        ident = table.identity
-        pillars = []
-        accumulated: frozenset[FormClass] = frozenset({ident})
-        for j, p in enumerate(override, start=1):
-            if not is_prime(p):
-                raise PillarConfigError(f"pillar {p} is not a prime")
-            if kronecker(table.mod, p) != 1:
-                raise PillarConfigError(f"pillar prime {p} does not split")
-            form = table.class_of_prime(p)
-            span = self._span(self._image(form))
-            if len(span) == 1:
-                raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
-            if span & accumulated != {ident}:
-                raise PillarConfigError(f"pillar prime {p} is not independent of the others")
-            accumulated = self._join(accumulated, span)
-            pillars.append(Pillar(j, p, splitting_type(table.mod, p), len(span), form))
-        if len(accumulated) != self.size:
-            raise PillarConfigError(
-                f"pillar images span {len(accumulated)} of {self.size} quotient classes"
-            )
-        return tuple(pillars)
+            pick = next(p for p, x in candidates() if x in target and table.order_of(x) == tau)
+            picks.append(pick)
+        return tuple(picks)
 
     def coords(self, f: FormClass) -> tuple[int, ...]:
         """Exponents of the image of f over the pillar images, one per factor."""
@@ -444,7 +420,7 @@ def quotient_setup(
 
     With pillars=None the deterministic default rule applies; otherwise the
     given primes are used in order and validated.  When every class is
-    2-torsion the pillar list is empty.
+    2-torsion the pillar list is empty, and only an empty override passes.
     """
     key = tuple(pillars) if pillars is not None else None
     return table.quotient(key)

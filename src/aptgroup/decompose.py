@@ -15,7 +15,7 @@ is verified by exact recombination before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .basis import BasisTable, Category
 from .primes import factorize, valuation
@@ -159,17 +159,15 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
 
 def recombine(
     basis: BasisTable,
-    terms: Decomposition | Mapping[int, int] | Sequence[tuple[int, int]],
+    terms: Decomposition | Mapping[int, int],
     special_coeff: int = 0,
 ) -> Triple:
     """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group."""
     if isinstance(terms, Decomposition):
         special_coeff = terms.special_coeff
-        items: Sequence[tuple[int, int]] = terms.terms
-    elif isinstance(terms, Mapping):
-        items = sorted(terms.items())
+        items = terms.terms
     else:
-        items = sorted(terms)
+        items = sorted(terms.items())
     acc = identity(basis.mod)
     for p, s in items:
         if s:

@@ -342,7 +342,9 @@ class TestAgainstScan:
     def test_two_torsion_triple_per_pattern(self):
         # every conjugation pattern of a composite beta's factors: the
         # scan's generator when the product's class is 2-torsion, else
-        # NotTwoTorsionError; the scan cannot tell the ideals above 2 apart
+        # NotTwoTorsionError; the scan cannot tell the ideals above 2 apart.
+        # The product is 2-torsion exactly when each pillar keeps its
+        # canonical flag or its exponent is half the pillar order.
         shapes = set()
         for m in SWEEP + TWO_PILLARS:
             mod = Modulus(m)
@@ -351,13 +353,17 @@ class TestAgainstScan:
             for p in bt.split_primes(100):
                 if bt.category_of(p) is not Category.COMPOSITE:
                     continue
-                moved = [(pl, e.a) for e, pl in zip(bt.exponent_vector(p), bt.pillars) if e.a]
+                moved = [(pl, e) for e, pl in zip(bt.exponent_vector(p), bt.pillars) if e.a]
                 for flips in itertools.product((False, True), repeat=len(moved)):
                     factors = [(splitting_type(mod, p), 1)]
                     cls = table.class_of_prime(p)
-                    for (pl, a), conj in zip(moved, flips):
-                        factors.append((pl.info, a, conj))
-                        cls = compose_forms(cls, form_power(table, pl.form.inverse() if conj else pl.form, a))
+                    for (pl, e), conj in zip(moved, flips):
+                        factors.append((pl.info, e.a, conj))
+                        cls = compose_forms(cls, form_power(table, pl.form.inverse() if conj else pl.form, e.a))
+                    admissible = all(
+                        conj == e.conj or 2 * e.a == pl.order for (pl, e), conj in zip(moved, flips)
+                    )
+                    assert table.in_two_torsion(cls) == admissible, (m, p, flips)
                     if not table.in_two_torsion(cls):
                         with pytest.raises(NotTwoTorsionError):
                             two_torsion_triple(mod, factors)

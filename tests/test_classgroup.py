@@ -458,6 +458,35 @@ class TestQuotient:
         with pytest.raises(PillarConfigError, match="not a prime"):
             quotient_setup(table, override)
 
+    @pytest.mark.parametrize(
+        "override,error",
+        [((3,), "pillar prime 3 has trivial quotient image"), ((4,), "pillar 4 is not a prime")],
+    )
+    def test_override_on_trivial_quotient_is_validated(self, override, error):
+        table = ClassGroupTable(Modulus(35))
+        with pytest.raises(PillarConfigError) as got:
+            quotient_setup(table, override)
+        assert str(got.value) == error
+        assert quotient_setup(table, ()).pillars == ()
+
+    @pytest.mark.parametrize(
+        "override,pillars",
+        [
+            ((181, 11), [(181, 2), (11, 32)]),
+            ((11,), "pillar images span 32 of 64 quotient classes"),
+        ],
+    )
+    def test_override_on_non_cyclic_quotient(self, override, pillars):
+        table = ClassGroupTable(Modulus(3000010))
+        if isinstance(pillars, str):
+            with pytest.raises(PillarConfigError) as got:
+                quotient_setup(table, override)
+            assert str(got.value) == pillars
+        else:
+            q = quotient_setup(table, override)
+            assert [(pl.p, pl.order) for pl in q.pillars] == pillars
+            assert len(set(map(q.coords, table.forms))) == q.size == 64
+
     def test_coords_roundtrip(self):
         table = ClassGroupTable(Modulus(974))
         q = quotient_setup(table)

@@ -49,6 +49,14 @@ class TestClassgroupCommand:
         assert code == 2 and err.startswith("error:") and "pillar" in err
         assert "Traceback" not in err
 
+    def test_pillar_on_trivial_quotient_exit_2(self, capsys):
+        # m = 35 has Cl = Cl[2], so no prime can be a pillar
+        code, out, err = run(capsys, "classgroup", "-m", "35", "--pillar", "4")
+        assert (code, out, err) == (2, "", "error: pillar 4 is not a prime\n")
+        code, out, err = run(capsys, "generators", "-m", "35", "--bound", "17", "--pillar", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: pillar prime 3 has trivial quotient image\n"
+
     def test_huge_modulus_exit_2(self):
         # 10^47 + 3 is over the size limit: refused before m is factored
         src = str(Path(aptgroup.__file__).resolve().parents[1])

@@ -1,0 +1,75 @@
+"""Print one SHA-256 over the quotient presentations and betas of many moduli.
+
+Run as `python tools/same_output.py` from any directory; it imports the
+package from this checkout's src/.  Two checkouts that print the same
+digest agree on, for every square-free 5 <= m < 3000: the invariant
+factors, the quotient size, the pillars, the coordinates of every form and
+beta(p) for every split p <= 200; on the outcome (pillars and coordinates,
+or the error text) of a fixed list of pillar overrides; and on the default
+pillars of four large class groups.  It takes a few seconds.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from aptgroup.basis import BasisTable  # noqa: E402
+from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
+from aptgroup.primes import is_squarefree  # noqa: E402
+from aptgroup.quadfield import Modulus  # noqa: E402
+
+OVERRIDES = [
+    (23, (2,)),
+    (23, (3,)),
+    (974, (5, 41)),
+    (974, (5, 31)),
+    (974, (37,)),
+    (974, (7,)),
+    (974, (4,)),
+    (974, ()),
+    (3000010, (11, 181)),
+    (3000010, (181, 11)),
+    (3000010, (11,)),
+]
+LARGE = [2000002, 3000010, 10000019, 30000001]
+
+
+def pillars(q):
+    return [(pl.index, pl.p, pl.order, pl.info, pl.form) for pl in q.pillars]
+
+
+def records():
+    for m in range(5, 3000):
+        if not is_squarefree(m):
+            continue
+        bt = BasisTable(Modulus(m))
+        q = bt.quotient
+        yield m, q.invariant_factors, q.size, pillars(q)
+        yield [(f, q.coords(f)) for f in bt.table.forms]
+        for p in bt.split_primes(200):
+            el = bt.beta(p)
+            yield p, el.triple, el.category, el.pillar_index, el.exps
+    for m, override in OVERRIDES:
+        table = ClassGroupTable(Modulus(m))
+        try:
+            q = quotient_setup(table, override)
+        except PillarConfigError as exc:
+            yield m, override, str(exc)
+        else:
+            yield m, override, pillars(q), [(f, q.coords(f)) for f in table.forms]
+    for m in LARGE:
+        yield m, pillars(quotient_setup(ClassGroupTable(Modulus(m))))
+
+
+def main():
+    digest = hashlib.sha256()
+    for rec in records():
+        digest.update(repr(rec).encode())
+        digest.update(b"\n")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
