@@ -197,10 +197,15 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
 
 
 def special_four_element(mod: Modulus) -> Triple | None:
-    """The primitive triple [q, r, 4], present only for m = 7 and m = 15."""
-    for u, v in solve_norm_equation(mod, 16):
-        if v > 0:
-            return Triple(mod.m, u, v, 4)
+    """The primitive triple [q, r, 4], present only for m = 7 and m = 15.
+
+    q^2 + m*r^2 = 16 with r > 0 needs m <= 16, and r >= 2 would need m <= 4;
+    with r = 1 only 16 - 7 = 3^2 and 16 - 15 = 1^2 are squares.
+    """
+    if mod.m == 7:
+        return Triple(7, 3, 1, 4)
+    if mod.m == 15:
+        return Triple(15, 1, 1, 4)
     return None
 
 

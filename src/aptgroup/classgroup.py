@@ -4,15 +4,17 @@ Classes are represented by reduced primitive positive definite forms
 A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
 composition (Cohen, GTM 138, Alg. 5.4.7).  The forms are enumerated by
 middle coefficient: for each b, the leading coefficients a are read off the
-divisors of (b^2 - disc)/4, so the cost is O(sqrt|disc|) factorizations
-rather than a scan of every (a, b) pair.  Beyond the bare group this module
-recovers the invariant factors and the 2-torsion subgroup Cl[2], both read
-off the order of every class: Cl[2] is the classes of order at most 2, and
-for each prime q the counts |Cl[q^k]| = #{x : x^(q^k) = 1} fix the q-parts
-of the invariant factors.  Squaring maps Cl onto its subgroup of squares
-with kernel Cl[2], so the quotient Cl/Cl[2] is presented as that subgroup:
-a direct sum in which each cyclic factor is generated by the square of the
-class of a chosen split prime ideal (a "pillar").
+divisors of (b^2 - disc)/4, and all those values are factored together by
+one sieve over the primes at which disc is a square, so enumeration costs
+about sqrt|disc| log log|disc| divisions rather than a scan of every (a, b)
+pair.  Beyond the bare group this module recovers the invariant factors
+and the 2-torsion subgroup Cl[2], both read off the order of every class:
+Cl[2] is the classes of order at most 2, and for each prime q the counts
+|Cl[q^k]| = #{x : x^(q^k) = 1} fix the q-parts of the invariant factors.
+Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
+quotient Cl/Cl[2] is presented as that subgroup: a direct sum in which each
+cyclic factor is generated by the square of the class of a chosen split
+prime ideal (a "pillar").
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .primes import factorize, is_prime, primes_up_to, xgcd
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type, sqrt_mod
 
 __all__ = [
     "DiscriminantMismatchError",
@@ -135,25 +137,57 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     Cohen, GTM 138, section 5.3, with the inner loop over a replaced by
     divisors: a reduced form has |b| <= a <= c, so 3b^2 <= |disc|, and for
     each b = disc (mod 2) the leading coefficients are the divisors a of
-    n = (b^2 - disc)/4 with b <= a <= sqrt(n).  That is O(sqrt|disc|)
-    factorizations of numbers below |disc|.
+    n = (b^2 - disc)/4 with b <= a <= sqrt(n).  All the n are values of one
+    quadratic polynomial in b, so they are factored together by the sieving
+    step of the quadratic sieve (Pomerance, EUROCRYPT '84): an odd prime q
+    divides n exactly when b = +-r (mod q) with r^2 = disc (mod q), so each
+    q is divided out, completely, of every second or q-th n alone, and once
+    every prime up to sqrt(max n) is out what is left of each n is 1 or a
+    prime.  That is O(sqrt|disc| log log|disc|) divisions, plus one
+    square root mod q for each odd prime q up to sqrt(|disc|/3).
     """
+    b0 = disc % 2
+    ns = [(b * b - disc) // 4 for b in range(b0, isqrt(-disc // 3) + 1, 2)]
+    rest = ns[:]
+    factors: list[list[tuple[int, int]]] = [[] for _ in ns]
+    for i, x in enumerate(rest):
+        e = (x & -x).bit_length() - 1
+        if e:
+            rest[i] = x >> e
+            factors[i].append((2, e))
+    for q in primes_up_to(isqrt(ns[-1]))[1:]:  # 2 is out already
+        r = sqrt_mod(disc, q)
+        if r is None:
+            continue
+        half = (q + 1) // 2  # the inverse of 2 mod q, as b = b0 + 2i
+        for start in {(r - b0) * half % q, (-r - b0) * half % q}:
+            for i in range(start, len(ns), q):
+                x, e = rest[i] // q, 1
+                while x % q == 0:
+                    x //= q
+                    e += 1
+                rest[i] = x
+                factors[i].append((q, e))
     out = []
-    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
-        n = (b * b - disc) // 4
+    for i, n in enumerate(ns):
+        b = b0 + 2 * i
+        if rest[i] > 1:
+            factors[i].append((rest[i], 1))
         top = isqrt(n)
         divisors = [1]
-        for q, e in factorize(n).items():
+        for q, e in factors[i]:
             divisors += [d * q**k for k in range(1, e + 1) for d in divisors if d * q**k <= top]
         for a in divisors:
             if a < b:
                 continue
             c = n // a
             if gcd(gcd(a, b), c) == 1:
-                out.append(FormClass(a, b, c))
+                out.append((a, b, c))
                 if 0 < b < a < c:
-                    out.append(FormClass(a, -b, c))
-    return sorted(out)
+                    out.append((a, -b, c))
+    # plain tuples sort far faster than the dataclass comparison
+    out.sort()
+    return [FormClass(a, b, c) for a, b, c in out]
 
 
 def _element_orders(forms, ident: FormClass) -> dict[FormClass, int]:

@@ -10,6 +10,7 @@ verification failure.  Every command accepts and ignores --cache-dir.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -170,7 +171,9 @@ def cmd_verify_paper(args) -> int:
     return 0 if failures == 0 and results else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it names no handler."""
     parser = argparse.ArgumentParser(
         prog="aptgroup",
         description="Free bases and exact decomposition for the group of "
@@ -180,36 +183,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classgroup", help="class group, 2-torsion and quotient report")
     _add_common(p)
-    p.set_defaults(func=cmd_classgroup)
 
     p = subs.add_parser("generators", help="basis triples beta(p) for p up to a bound")
     _add_common(p)
     p.add_argument("--bound", type=int, required=True,
                    help="largest prime to include, 2 <= BOUND <= 10^6")
-    p.set_defaults(func=cmd_generators)
 
     p = subs.add_parser("beta", help="one basis triple")
     _add_common(p)
     p.add_argument("p", type=int, help="a split prime (Kronecker symbol 1)")
-    p.set_defaults(func=cmd_beta)
 
     p = subs.add_parser("decompose", help="decompose a triple over the basis (JSON output)")
     _add_common(p)
     p.add_argument("triple", nargs="+", help="a b c as three arguments, or one 'a,b,c'")
-    p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("verify-paper", help="recompute the published worked examples")
     p.add_argument("--m", dest="m", type=int, default=None, help="restrict to one modulus")
     _add_cache_dir(p)
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so that a rebound cmd_<command> is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InvalidModulusError, PillarConfigError, BoundTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

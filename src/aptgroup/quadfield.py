@@ -31,8 +31,8 @@ __all__ = [
 
 
 # Largest accepted modulus.  On a 2-vCPU Xeon the class group of an m near
-# 10^10 and its quotient take about 4 s (m = 9999999967, h = 45691), and up
-# to 11 s and 180 MB when many small primes split (m = 9996032471,
+# 10^10 and its quotient take about 2 s (m = 9999999967, h = 45691), and up
+# to 6.5 s and 185 MB when many small primes split (m = 9996032471,
 # h = 236606): enumeration grows like sqrt(m), the rest like h.
 MAX_MODULUS = 10**10
 

@@ -135,6 +135,13 @@ class TestSpecialElement:
     def test_absent_otherwise(self, m):
         assert special_four_element(Modulus(m)) is None
 
+    def test_closed_form_matches_scan(self):
+        for m in range(5, 3000):
+            if is_squarefree(m):
+                mod = Modulus(m)
+                scan = [Triple(m, u, v, 4) for u, v in solve_norm_equation(mod, 16) if v > 0]
+                assert special_four_element(mod) == (scan[0] if scan else None), m
+
 
 class TestExponentVectors:
     def test_exps_974(self, tables):

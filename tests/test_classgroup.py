@@ -22,6 +22,28 @@ from aptgroup.primes import crt, is_squarefree, primes_up_to, xgcd
 from aptgroup.quadfield import Modulus, kronecker, splitting_type
 
 
+def kronecker_loop(d, a):
+    """(d/a) for a >= 1: (d/2) for each factor 2 of a, then the Jacobi symbol of the odd part."""
+    sign = 1
+    while a % 2 == 0:
+        if d % 2 == 0:
+            return 0
+        a //= 2
+        if d % 8 in (3, 5):
+            sign = -sign
+    d %= a
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if a % 8 in (3, 5):
+                sign = -sign
+        d, a = a, d
+        if d % 4 == 3 and a % 4 == 3:
+            sign = -sign
+        d %= a
+    return sign if a == 1 else 0
+
+
 def equivalent_reduced_by_moves(a, b, c, coeff_cap):
     """All reduced forms reachable from (a, b, c) by the standard moves.
 
@@ -250,7 +272,11 @@ class TestCompose:
 
 
 class TestEnumerate:
-    @pytest.mark.parametrize("m,h", [(35, 2), (23, 3), (974, 36)])
+    @pytest.mark.parametrize(
+        "m,h",
+        [(35, 2), (23, 3), (974, 36), (30030, 128), (46189, 160), (62790, 224),
+         (10000019, 1275), (30000001, 3496)],
+    )
     def test_class_numbers(self, m, h):
         assert ClassGroupTable(Modulus(m)).h == h
 
@@ -349,6 +375,18 @@ class TestEnumerate:
                 d = table.disc
                 total = sum(int(kronecker_symbol(d, a)) * a for a in range(1, -d))
                 assert table.h * d == total, m
+
+    @pytest.mark.parametrize(
+        # the second list has many ramified primes, each sieved at the single root 0
+        "moduli", [[m for m in range(5, 1000) if is_squarefree(m)], [30030, 46189, 62790]]
+    )
+    def test_class_number_matches_analytic_formula(self, moduli):
+        # h = sum_{1 <= a <= |D|/2} (D/a) / (2 - (D/2)), for fundamental D < -4
+        for m in moduli:
+            table = ClassGroupTable(Modulus(m))
+            d = table.disc
+            total = sum(kronecker_loop(d, a) for a in range(1, -d // 2 + 1))
+            assert table.h * (2 - kronecker_loop(d, 2)) == total, m
 
     @pytest.mark.parametrize("m,size", [(35, 2), (23, 1), (974, 2)])
     def test_two_torsion_size(self, m, size):

@@ -132,6 +132,25 @@ class TestGeneratorsCommand:
                                    "category": "pillar", "exps": []}
 
 
+class TestParserReuse:
+    # one cached parser serves every main() call in a process
+
+    def test_pillar_override_does_not_leak(self, capsys):
+        argv = ["generators", "-m", "974", "--bound", "100"]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0 and "beta(41) = [61129, 1020, 68921]   pillar  (factor 2)" in default
+        for first, second in (("5", "41"), ("5", "97")):
+            code, out, _ = run(capsys, *argv, "--pillar", first, "--pillar", second)
+            assert code == 0 and (out == default) == (second == "41")
+            assert run(capsys, *argv) == (0, default, "")
+
+    def test_rebound_handler_is_called(self, capsys, monkeypatch):
+        assert run(capsys, "beta", "-m", "974", "37")[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_beta", lambda args: seen.append(args.p) or 7)
+        assert main(["beta", "-m", "974", "37"]) == 7 and seen == [37]
+
+
 class TestBetaCommand:
     def test_single_value(self, capsys, tmp_path):
         code, out, _ = run(capsys, "beta", "-m", "974", "37", "--cache-dir", str(tmp_path))
