@@ -19,11 +19,12 @@ prime ideal (a "pillar").
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .primes import factorize, is_prime, primes_up_to, xgcd
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, splitting_type, sqrt_mod
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, _split_info, splitting_type, sqrt_mod
 
 __all__ = [
     "DiscriminantMismatchError",
@@ -47,27 +48,30 @@ class PillarConfigError(ValueError):
     """A pillar override does not give a direct-sum decomposition of the quotient."""
 
 
-@dataclass(frozen=True, order=True)
-class FormClass:
-    """A reduced form: A > 0, -A < B <= A <= C, B >= 0 when A = C or A = |B|."""
+class FormClass(namedtuple("FormClass", "a b c")):
+    """A reduced form: A > 0, -A < B <= A <= C, B >= 0 when A = C or A = |B|.
 
-    a: int
-    b: int
-    c: int
+    A form is the tuple (a, b, c): equality, hashing and ordering are the
+    tuple's, so the dicts and sets keyed by forms compare them in C.
+    """
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> "FormClass":
         if a <= 0 or not (-a < b <= a <= c) or (b < 0 and (a == c or a == abs(b))):
             raise ValueError(f"form ({a}, {b}, {c}) is not reduced")
         if gcd(gcd(a, abs(b)), c) != 1:
             raise ValueError(f"form ({a}, {b}, {c}) is not primitive")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c = self
+        return b * b - 4 * a * c
 
     def inverse(self) -> "FormClass":
-        return reduce_form(self.a, -self.b, self.c)
+        a, b, c = self
+        return reduce_form(a, -b, c)
 
     def __repr__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -109,13 +113,14 @@ def compose_forms(f: FormClass, g: FormClass) -> FormClass:
     the united form (a3, b3, c3) with a3 = a1 * a2 / d1^2 is read off two
     extended gcds, d = gcd(a1, a2) and d1 = gcd(d, (b1 + b2) / 2).
     """
-    disc = f.disc
-    if g.disc != disc:
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    disc = b1 * b1 - 4 * a1 * c1
+    if b2 * b2 - 4 * a2 * c2 != disc:
         raise DiscriminantMismatchError(f"cannot compose discriminants {disc} and {g.disc}")
-    if f.a > g.a:
-        f, g = g, f
-    a1, a2, b2, c2 = f.a, g.a, g.b, g.c
-    s = (f.b + b2) // 2
+    if a1 > a2:
+        (a1, b1, c1), (a2, b2, c2) = g, f
+    s = (b1 + b2) // 2
     n = b2 - s
     if a2 % a1 == 0:
         y1, d = 0, a1
@@ -182,12 +187,11 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
                 continue
             c = n // a
             if gcd(gcd(a, b), c) == 1:
-                out.append((a, b, c))
+                out.append(FormClass(a, b, c))
                 if 0 < b < a < c:
-                    out.append((a, -b, c))
-    # plain tuples sort far faster than the dataclass comparison
+                    out.append(FormClass(a, -b, c))
     out.sort()
-    return [FormClass(a, b, c) for a, b, c in out]
+    return out
 
 
 def _element_orders(forms, ident: FormClass) -> dict[FormClass, int]:
@@ -270,9 +274,13 @@ class ClassGroupTable:
         class.  Inert primes lie over <p> itself, which is principal: they
         map to the identity.
         """
-        info = splitting_type(self.mod, p)
+        return self._class_of(splitting_type(self.mod, p))
+
+    def _class_of(self, info: PrimeSplitInfo) -> FormClass:
+        """class_of_prime of info.p, from its splitting data."""
         if info.kind is SplitKind.INERT:
             return self.identity
+        p = info.p
         if p == 2:
             b = 1 if self.disc % 2 else 2 * info.root
             return reduce_form(2, b, (b * b - self.disc) // 8, self.disc)
@@ -310,6 +318,30 @@ def _prime_power_parts(n: int) -> list[tuple[int, int]]:
     return [(q, q**e) for q, e in factorize(n).items()]
 
 
+def _mul(x: FormClass, y: FormClass, ident: FormClass) -> FormClass:
+    """x * y, composing only when neither factor is the identity."""
+    if x == ident:
+        return y
+    if y == ident:
+        return x
+    return compose_forms(x, y)
+
+
+def _split_prime_infos(mod: Modulus):
+    """The splitting data of the split primes, ascending; sieved, so not proved again."""
+    bound = 256
+    seen = 0
+    while bound <= max(1 << 20, 64 * abs(mod.disc)):
+        ps = primes_up_to(bound)
+        for p in ps[seen:]:
+            info = _split_info(mod, p)
+            if info.kind is SplitKind.SPLIT:
+                yield info
+        seen = len(ps)
+        bound *= 4
+    raise RuntimeError("pillar search exhausted the prime bound")
+
+
 class QuotientData:
     """A direct-sum presentation of Cl modulo 2-torsion by pillar prime images.
 
@@ -320,36 +352,43 @@ class QuotientData:
     the given order or the default two-phase choice, go through one
     construction: it grows the coordinates factor by factor and checks the
     internal direct sum, as |A * B| = |A| |B| exactly when A and B meet
-    only in the identity.
+    only in the identity.  It reads the table only while it is built and
+    keeps no reference to it, so a table and the quotients it keeps form no
+    reference cycle and are freed as soon as the table is dropped.
     """
 
     def __init__(self, table: ClassGroupTable, override: tuple[int, ...] | None = None):
-        self.table = table
+        ident = self.identity = table.identity
         self.size = table.h // len(table.twotorsion)
         self.invariant_factors: tuple[int, ...] = tuple(
             n // gcd(n, 2) for n in table.structure if n > 2
         )
-        primes = self._select_default_pillars() if override is None else override
-        coords: dict[FormClass, tuple[int, ...]] = {table.identity: ()}
+        if override is None:
+            picks = self._select_default_pillars(table)
+        else:
+            picks = [(p, None) for p in override]
+        coords: dict[FormClass, tuple[int, ...]] = {ident: ()}
         pillars = []
-        for j, p in enumerate(primes, start=1):
+        for j, (p, powers) in enumerate(picks, start=1):
             if not is_prime(p):
                 raise PillarConfigError(f"pillar {p} is not a prime")
-            if kronecker(table.mod, p) != 1:
+            info = _split_info(table.mod, p)
+            if info.kind is not SplitKind.SPLIT:
                 raise PillarConfigError(f"pillar prime {p} does not split")
-            form = table.class_of_prime(p)
-            powers = self._powers(self._image(form))
+            form = table._class_of(info)
+            if powers is None:
+                powers = self._powers(self._image(form))
             if len(powers) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
             grown = {
-                compose_forms(x, y): exps + (e,)
+                _mul(x, y, ident): exps + (e,)
                 for x, exps in coords.items()
                 for e, y in enumerate(powers)
             }
             if len(grown) != len(coords) * len(powers):
                 raise PillarConfigError(f"pillar prime {p} is not independent of the others")
             coords = grown
-            pillars.append(Pillar(j, p, splitting_type(table.mod, p), len(powers), form))
+            pillars.append(Pillar(j, p, info, len(powers), form))
         if len(coords) != self.size:
             raise PillarConfigError(
                 f"pillar images span {len(coords)} of {self.size} quotient classes"
@@ -362,28 +401,23 @@ class QuotientData:
 
     def _powers(self, x: FormClass) -> list[FormClass]:
         """The powers of x, from the identity up."""
-        powers = [self.table.identity]
-        while (nxt := compose_forms(powers[-1], x)) != self.table.identity:
+        ident = self.identity
+        powers = [ident]
+        while (nxt := _mul(powers[-1], x, ident)) != ident:
             powers.append(nxt)
         return powers
 
     def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
-        return frozenset(compose_forms(x, y) for x in a for y in b)
+        ident = self.identity
+        return frozenset(_mul(x, y, ident) for x in a for y in b)
 
-    def _split_prime_stream(self):
-        bound = 256
-        seen = 0
-        while bound <= max(1 << 20, 64 * abs(self.table.disc)):
-            ps = primes_up_to(bound)
-            for p in ps[seen:]:
-                if kronecker(self.table.mod, p) == 1:
-                    yield p
-            seen = len(ps)
-            bound *= 4
-        raise RuntimeError("pillar search exhausted the prime bound")
-
-    def _select_default_pillars(self) -> tuple[int, ...]:
+    def _select_default_pillars(
+        self, table: ClassGroupTable
+    ) -> list[tuple[int, list[FormClass] | None]]:
         """The default pillar primes, one per invariant factor.
+
+        Each comes with the powers of its image if phase one walked them,
+        else with None, so that no powers are walked twice.
 
         Phase one builds a primary skeleton: for every prime-power slot q^k
         occurring in the invariant factors (q ascending, powers descending),
@@ -396,25 +430,26 @@ class QuotientData:
         descend.  Both phases draw from the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
         costs one composition (its image): phase one reads the image's order
-        before it builds a span, and phase two needs no span, since an
-        element of the cyclic target generates it iff its order is |target|.
+        before it walks its powers, once per prime, and phase two needs no
+        span, since an element of the cyclic target generates it iff its
+        order is |target|.
         """
-        table = self.table
-        ident = table.identity
+        ident = self.identity
         slots: list[tuple[int, int]] = []
         for tau in self.invariant_factors:
             slots.extend(_prime_power_parts(tau))
         slots.sort(key=lambda s: (s[0], -s[1]))
 
         scanned: list[tuple[int, FormClass]] = []  # (p, image of its class)
-        stream = self._split_prime_stream()
+        walks: dict[int, list[FormClass]] = {}  # p -> powers of its image
+        stream = _split_prime_infos(table.mod)
 
         def candidates():
             i = 0
             while True:
                 if i == len(scanned):
-                    p = next(stream)
-                    scanned.append((p, self._image(table.class_of_prime(p))))
+                    info = next(stream)
+                    scanned.append((info.p, self._image(table._class_of(info))))
                 yield scanned[i]
                 i += 1
 
@@ -423,9 +458,11 @@ class QuotientData:
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
             acc = acc_by_q.get(q, frozenset({ident}))
-            for _, image in candidates():
+            for p, image in candidates():
                 if table.order_of(image) == qk:
-                    span = frozenset(self._powers(image))
+                    if p not in walks:
+                        walks[p] = self._powers(image)
+                    span = frozenset(walks[p])
                     if span & acc == {ident}:
                         skeleton.setdefault(q, []).append(span)
                         acc_by_q[q] = self._join(acc, span)
@@ -439,8 +476,8 @@ class QuotientData:
                 target = self._join(target, skeleton[q][j])
             # the targets are distinct subgroups, so no prime is picked twice
             pick = next(p for p, x in candidates() if x in target and table.order_of(x) == tau)
-            picks.append(pick)
-        return tuple(picks)
+            picks.append((pick, walks.get(pick)))
+        return picks
 
     def coords(self, f: FormClass) -> tuple[int, ...]:
         """Exponents of the image of f over the pillar images, one per factor."""

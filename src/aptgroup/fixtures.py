@@ -1,7 +1,10 @@
 """Known-good worked examples for m = 35, 23, 974 and the m = 7, 15 specials.
 
 These drive the verify-paper command: every entry recomputes a published
-value from scratch and compares exactly.  Nothing here reads the cache.
+value and compares exactly.  Each run of the fixtures builds its basis
+tables from scratch, once per modulus and pillar choice, shares them
+among that run's checks and drops them when it ends; nothing is kept
+between runs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ __all__ = ["Fixture", "FIXTURES", "run_fixtures"]
 class Fixture:
     name: str
     m: int
-    check: Callable[[], tuple[bool, str]]
+    # called with tables(m, pillars=None), which returns the run's basis table
+    check: Callable[[Callable[..., BasisTable]], tuple[bool, str]]
 
 
 SPLIT35_151 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]
@@ -61,8 +65,8 @@ def _expect(got, want) -> tuple[bool, str]:
 
 
 def _beta_check(m: int, values: dict[int, tuple[int, int, int]], pillars=None):
-    def check():
-        bt = BasisTable(Modulus(m), pillars)
+    def check(tables):
+        bt = tables(m, pillars)
         for p, (a, b, c) in sorted(values.items()):
             t = bt.beta(p).triple
             if (t.a, t.b, t.c) != (a, b, c):
@@ -72,40 +76,40 @@ def _beta_check(m: int, values: dict[int, tuple[int, int, int]], pillars=None):
     return check
 
 
-def _m35_class():
-    bt = BasisTable(Modulus(35))
+def _m35_class(tables):
+    bt = tables(35)
     ok, msg = _expect(bt.table.h, 2)
     if not ok:
         return ok, msg
     return _expect(list(bt.table.structure), [2])
 
 
-def _m35_L():
-    return _expect(BasisTable(Modulus(35)).split_primes(151), SPLIT35_151)
+def _m35_L(tables):
+    return _expect(tables(35).split_primes(151), SPLIT35_151)
 
 
-def _m35_all_two_torsion():
-    bt = BasisTable(Modulus(35))
+def _m35_all_two_torsion(tables):
+    bt = tables(35)
     return _expect(bt.two_torsion_primes(151), bt.split_primes(151))
 
 
-def _m23_class():
-    bt = BasisTable(Modulus(23))
+def _m23_class(tables):
+    bt = tables(23)
     if bt.table.h != 3:
         return False, f"h = {bt.table.h}"
     return _expect(len(bt.table.twotorsion), 1)
 
 
-def _m23_L():
-    return _expect(BasisTable(Modulus(23)).split_primes(197), SPLIT23_197)
+def _m23_L(tables):
+    return _expect(tables(23).split_primes(197), SPLIT23_197)
 
 
-def _m23_two_torsion_primes():
-    return _expect(BasisTable(Modulus(23)).two_torsion_primes(180), [59, 101, 167, 173])
+def _m23_two_torsion_primes(tables):
+    return _expect(tables(23).two_torsion_primes(180), [59, 101, 167, 173])
 
 
-def _m974_class():
-    bt = BasisTable(Modulus(974))
+def _m974_class(tables):
+    bt = tables(974)
     if bt.table.h != 36:
         return False, f"h = {bt.table.h}"
     orders = list(bt.table.structure)
@@ -116,21 +120,21 @@ def _m974_class():
     return _expect([(pl.p, pl.order) for pl in bt.pillars], [(5, 6), (41, 3)])
 
 
-def _m974_L():
-    return _expect(BasisTable(Modulus(974)).split_primes(163), SPLIT974_163)
+def _m974_L(tables):
+    return _expect(tables(974).split_primes(163), SPLIT974_163)
 
 
-def _m974_two_torsion_primes():
-    return _expect(BasisTable(Modulus(974)).two_torsion_primes(983), [937, 983])
+def _m974_two_torsion_primes(tables):
+    return _expect(tables(974).two_torsion_primes(983), [937, 983])
 
 
-def _m974_identity():
+def _m974_identity(tables):
     m = 974
     lhs = add(Triple(m, 4141, 66, 4625), Triple(m, 14651, 174, 15625))
     return _expect(lhs, Triple(m, 3167, 108, 4625))
 
 
-def _m974_ideal_square():
+def _m974_ideal_square(tables):
     mod = Modulus(974)
     vals = ideal_valuations(mod, Triple(974, 359, 16, 615))
     want = {
@@ -141,14 +145,14 @@ def _m974_ideal_square():
     return _expect(vals, want)
 
 
-def _m974_decompose():
-    bt = BasisTable(Modulus(974))
+def _m974_decompose(tables):
+    bt = tables(974)
     d = decompose(bt, Triple(974, 4141, 66, 4625))
     return _expect((dict(d.terms), d.special_coeff, d.verified), ({37: 1, 5: -1}, 0, True))
 
 
-def _m974_exponents():
-    bt = BasisTable(Modulus(974))
+def _m974_exponents(tables):
+    bt = tables(974)
     e3 = [(e.a, e.conj) for e in bt.exponent_vector(3)]
     if e3 != [(1, False), (1, False)]:
         return False, f"exponents of 3: {e3}"
@@ -156,7 +160,7 @@ def _m974_exponents():
     return _expect(e37, [(3, False), (0, False)])
 
 
-def _specials():
+def _specials(tables):
     got7 = special_four_element(Modulus(7))
     if got7 != Triple(7, 3, 1, 4):
         return False, f"m=7 special {got7}"
@@ -166,19 +170,19 @@ def _specials():
     return _expect(special_four_element(Modulus(23)), None)
 
 
-def _m35_symbols():
+def _m35_symbols(tables):
     if kronecker(Modulus(35), 71) != 1:
         return False, "kronecker(-35, 71) != 1"
     return _expect(kronecker(Modulus(35), 5), 0)
 
 
-def _m23_symbols():
+def _m23_symbols(tables):
     if kronecker(Modulus(23), 2) != 1:
         return False, "kronecker(-23, 2) != 1"
     return _expect(kronecker(Modulus(23), 5), -1)
 
 
-def _m974_splitting():
+def _m974_splitting(tables):
     i41 = splitting_type(Modulus(974), 41)
     if (i41.kind, i41.root) != (SplitKind.SPLIT, 16):
         return False, f"splitting of 41: {i41}"
@@ -213,12 +217,19 @@ FIXTURES: tuple[Fixture, ...] = (
 
 
 def run_fixtures(only_m: int | None = None) -> list[tuple[Fixture, bool, str]]:
+    built: dict[tuple[int, tuple[int, ...] | None], BasisTable] = {}
+
+    def tables(m: int, pillars: tuple[int, ...] | None = None) -> BasisTable:
+        if (m, pillars) not in built:
+            built[m, pillars] = BasisTable(Modulus(m), pillars)
+        return built[m, pillars]
+
     results = []
     for fx in FIXTURES:
         if only_m is not None and fx.m != only_m:
             continue
         try:
-            ok, msg = fx.check()
+            ok, msg = fx.check(tables)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, msg = False, f"{type(exc).__name__}: {exc}"
         results.append((fx, ok, msg))

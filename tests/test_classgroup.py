@@ -1,10 +1,14 @@
+import gc
 import itertools
 import random
+import weakref
 from math import gcd, isqrt, lcm
 
 import pytest
 from conftest import form_power
 
+from aptgroup import classgroup
+from aptgroup.basis import BasisTable
 from aptgroup.classgroup import (
     ClassGroupTable,
     DiscriminantMismatchError,
@@ -207,10 +211,46 @@ class TestReduceForm:
             assert reduce_form(f.a, f.b, f.c) == f
 
     def test_formclass_rejects_unreduced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as got:
             FormClass(3, 1, 2)
-        with pytest.raises(ValueError):
-            FormClass(2, 2, 4)  # imprimitive
+        assert str(got.value) == "form (3, 1, 2) is not reduced"
+        with pytest.raises(ValueError) as got:
+            FormClass(2, -2, 3)
+        assert str(got.value) == "form (2, -2, 3) is not reduced"
+        with pytest.raises(ValueError) as got:
+            FormClass(2, 2, 4)
+        assert str(got.value) == "form (2, 2, 4) is not primitive"
+
+
+class TestFormClass:
+    def test_compares_and_hashes_as_its_tuple(self):
+        forms = ClassGroupTable(Modulus(974)).forms
+        for f in forms:
+            t = (f.a, f.b, f.c)
+            assert hash(f) == hash(t)
+            for g in forms:
+                u = (g.a, g.b, g.c)
+                assert (f == g) == (t == u)
+                assert (f != g) == (t != u)
+                assert (f < g) == (t < u)
+                assert (f <= g) == (t <= u)
+        assert sorted(forms, reverse=True) == sorted(forms, key=lambda f: (f.a, f.b, f.c), reverse=True)
+
+    def test_is_immutable(self):
+        f = FormClass(2, 1, 3)
+        with pytest.raises(AttributeError):
+            f.a = 3
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert f == FormClass(2, 1, 3)
+
+    def test_fields_repr_disc_inverse(self):
+        f = FormClass(2, 1, 3)
+        assert (f.a, f.b, f.c) == (2, 1, 3)
+        assert repr(f) == "(2, 1, 3)"
+        assert f.disc == -23
+        assert f.inverse() == FormClass(2, -1, 3)
+        assert FormClass(1, 0, 5).inverse() == FormClass(1, 0, 5)
 
 
 class TestCompose:
@@ -536,6 +576,30 @@ class TestQuotient:
                 acc = compose_forms(acc, form_power(table, pl.form, e))
             assert compose_forms(acc, acc) == compose_forms(f, f)
 
+    @pytest.mark.parametrize("m,size", [(2000002, 125), (614, 17)])
+    def test_compositions_at_most_two_per_class_and_one_per_scanned_prime(self, monkeypatch, m, size):
+        table = ClassGroupTable(Modulus(m))
+        counts = {"compose": 0, "scanned": 0}
+        compose, stream = classgroup.compose_forms, classgroup._split_prime_infos
+
+        def counting_compose(f, g):
+            counts["compose"] += 1
+            return compose(f, g)
+
+        def counting_stream(mod):
+            for info in stream(mod):
+                counts["scanned"] += 1
+                yield info
+
+        monkeypatch.setattr(classgroup, "compose_forms", counting_compose)
+        monkeypatch.setattr(classgroup, "_split_prime_infos", counting_stream)
+        q = quotient_setup(table)
+        assert q.size == size and q.invariant_factors == (size,)
+        assert 0 < counts["compose"] <= 2 * size + counts["scanned"]
+        # a cyclic quotient of prime-power order: one image per scanned prime,
+        # then the size - 1 powers of the pillar's image, walked once
+        assert counts["compose"] == counts["scanned"] + size - 1
+
     def test_class_mod_two_torsion(self):
         table = ClassGroupTable(Modulus(974))
         # p in L0 squares to the identity
@@ -544,6 +608,37 @@ class TestQuotient:
         # the first pillar generates the C6 factor
         f5 = table.class_of_prime(5)
         assert table.order_of(compose_forms(f5, f5)) == 6
+
+
+class TestFreedByReferenceCounting:
+    """A table and its quotients form no reference cycle, so they die with their last reference."""
+
+    @pytest.fixture(autouse=True)
+    def no_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("pillars", [None, (5, 97)])
+    def test_basis_table_class_group_and_quotient(self, pillars):
+        bt = BasisTable(Modulus(974), pillars)
+        bt.beta(3)
+        refs = [weakref.ref(bt), weakref.ref(bt.table), weakref.ref(bt.quotient)]
+        del bt
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_class_group_after_a_refused_override(self):
+        table = ClassGroupTable(Modulus(974))
+        quotient = quotient_setup(table)
+        with pytest.raises(PillarConfigError):
+            quotient_setup(table, (5, 31))
+        refs = [weakref.ref(table), weakref.ref(quotient)]
+        del table, quotient
+        assert [ref() for ref in refs] == [None, None]
 
 
 ORACLE_PRIMES = primes_up_to(1 << 17)

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import pytest
 import aptgroup
 from aptgroup import cli
 from aptgroup.basis import BoundTooLargeError
-from aptgroup.cli import main
+from aptgroup.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -257,3 +260,43 @@ def test_cache_dir_accepted_and_nothing_written(capsys, tmp_path, monkeypatch, a
     code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
     assert code == 0 and out
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "-m", "3000010", "--json"],
+    ["generators", "-m", "974", "--bound", "100", "--pillar", "5", "--pillar", "97"],
+    ["verify-paper"],
+])
+def test_command_leaves_nothing_for_the_collector(argv):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        build_parser()  # argparse leaves cycles behind while it builds the parser, once per process
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_unimported_package_is_freed():
+    # nothing outside the package (such as a typing cache) may keep its classes alive
+    script = (
+        "import gc, io, sys, weakref, contextlib\n"
+        "import aptgroup.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    aptgroup.cli.main(['verify-paper'])\n"
+        "refs = [weakref.ref(aptgroup.classgroup.FormClass), weakref.ref(aptgroup.basis.BasisTable)]\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'aptgroup']:\n"
+        "    del sys.modules[name]\n"
+        "del aptgroup\n"
+        "gc.collect()\n"
+        "print([ref() is None for ref in refs])\n"
+    )
+    src = str(Path(aptgroup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True]\n"

@@ -1,0 +1,34 @@
+from collections import Counter
+
+import pytest
+
+from aptgroup import fixtures
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (m, pillars) of every BasisTable the fixtures build."""
+    seen = []
+    real = fixtures.BasisTable
+
+    def spy(mod, pillars=None):
+        seen.append((mod.m, pillars))
+        return real(mod, pillars)
+
+    monkeypatch.setattr(fixtures, "BasisTable", spy)
+    return seen
+
+
+def test_one_table_per_modulus_and_pillars_per_run(built):
+    results = fixtures.run_fixtures()
+    assert len(results) == 22 and all(ok for _, ok, _ in results)
+    want = {(35, None): 1, (23, None): 1, (23, (2,)): 1, (23, (3,)): 1, (974, None): 1}
+    assert Counter(built) == want
+    fixtures.run_fixtures()
+    assert Counter(built) == {key: 2 for key in want}
+
+
+def test_one_table_for_one_modulus(built):
+    results = fixtures.run_fixtures(974)
+    assert len(results) == 9 and all(ok for _, ok, _ in results)
+    assert built == [(974, None)]

@@ -1,4 +1,4 @@
-"""Print two SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print three SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -8,10 +8,15 @@ beta(p) for every split p <= 200; on the outcome (pillars and coordinates,
 or the error text) of a fixed list of pillar overrides; and on the default
 pillars of four large class groups.  The same second digest means the same
 sorted forms and invariant factors of those four and of m = 510510, whose
-discriminant has seven prime factors.  It takes a few seconds.
+discriminant has seven prime factors.  The same third digest means the
+same stdout and exit code of `verify-paper`, `verify-paper --m M` for
+m = 35, 23, 974, and `classgroup -m M --json` for the four, all run in
+this process.  It takes a few seconds.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -19,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aptgroup.basis import BasisTable  # noqa: E402
 from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
+from aptgroup.cli import main as cli_main  # noqa: E402
 from aptgroup.primes import is_squarefree  # noqa: E402
 from aptgroup.quadfield import Modulus  # noqa: E402
 
@@ -36,6 +42,11 @@ OVERRIDES = [
     (3000010, (11,)),
 ]
 LARGE = [2000002, 3000010, 10000019, 30000001]
+COMMANDS = [
+    ["verify-paper"],
+    *(["verify-paper", "--m", str(m)] for m in (35, 23, 974)),
+    *(["classgroup", "-m", str(m), "--json"] for m in LARGE),
+]
 
 
 def pillars(q):
@@ -71,6 +82,14 @@ def large_records():
         yield m, table.forms, table.structure
 
 
+def cli_records():
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        yield argv, code, out.getvalue()
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -82,6 +101,7 @@ def digest(recs):
 def main():
     print(digest(records()))
     print(digest(large_records()))
+    print(digest(cli_records()))
 
 
 if __name__ == "__main__":
