@@ -17,7 +17,9 @@ triple, built from a prime-ideal product whose class is 2-torsion:
 
 Each triple comes from the generator of a squared ideal, found by
 Cornacchia's algorithm (two_torsion_triple): one Euclid run per
-admissible pattern.
+admissible pattern.  A table computes each beta(p) once, from one record
+of the splitting data of p: BasisTable.beta proves p prime, while
+elements takes its primes from the sieve and proves none.
 The image of beta, together with the distinguished [q, r, 4] element for
 m in {7, 15}, generates the triple group freely.
 """
@@ -32,7 +34,8 @@ from typing import Iterable, Sequence
 
 from .classgroup import ClassGroupTable, Pillar, QuotientData, quotient_setup
 from .primes import crt, primes_up_to
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, kronecker, lift_root, splitting_type
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, lift_root, splitting_type
+from .quadfield import _legendre, _split_info
 from .triples import Triple, normalize
 
 __all__ = [
@@ -51,7 +54,7 @@ __all__ = [
 
 
 # Largest accepted prime bound.  On a 2-vCPU Xeon, generators -m 35 takes
-# 0.2 s from process start at bound 10^4, 0.7 s at 10^5 and 7 s at 10^6
+# 0.07 s from process start at bound 10^4, 0.17 s at 10^5 and 1.2 s at 10^6
 # (39257 triples); the cost grows with the number of split primes.
 MAX_BOUND = 10**6
 
@@ -103,7 +106,7 @@ def split_primes(mod: Modulus, bound: int) -> list[int]:
     """
     if bound > MAX_BOUND:
         raise BoundTooLargeError(bound)
-    return [p for p in primes_up_to(bound) if kronecker(mod, p) == 1]
+    return [p for p in primes_up_to(bound) if _legendre(mod, p) == 1]
 
 
 def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
@@ -128,18 +131,6 @@ def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
 IdealFactor = tuple[PrimeSplitInfo, int] | tuple[PrimeSplitInfo, int, bool]
 
 
-def _normalize_factors(factors: Iterable[IdealFactor]) -> list[tuple[PrimeSplitInfo, int, bool]]:
-    out = []
-    for f in factors:
-        info, e = f[0], f[1]
-        conj = bool(f[2]) if len(f) > 2 else False
-        if e < 0:
-            raise ValueError("ideal exponents must be non-negative")
-        if e:
-            out.append((info, e, conj))
-    return out
-
-
 def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
     """The primitive triple attached to an ideal product with 2-torsion class.
 
@@ -147,17 +138,22 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
     of norm n must have class of order at most 2, so that I^2 is principal
     with a generator z of norm n^2.  I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)>
     with N = n^2 and r a square root of -m modulo 4N / 2^(2 delta), built by
-    CRT from the Hensel-lifted roots of the factors; Cornacchia's algorithm
+    CRT from the Newton-lifted roots of the factors; Cornacchia's algorithm
     on (N, r), or on (2N, r) for 4N when delta = 0 (Cohen, GTM 138,
     Alg. 1.5.2 and 1.5.3), finds z or shows that I^2 is not principal.
     Conjugating every factor gives the same triple.  A ramified factor
     squares to a rational principal ideal and drops out projectively; 2 may
     appear only inert or split.
     """
+    factors = list(factors)
+    if any(f[1] < 0 for f in factors):
+        raise ValueError("ideal exponents must be non-negative")
     n = 1
     r, modulus = (0, 1) if mod.delta else (1, 2)  # r is odd when delta = 0
-    for info, e, conj in _normalize_factors(factors):
+    for info, e, *conj in factors:
         p = info.p
+        if not e:
+            continue
         if info.kind is SplitKind.INERT and p != 2:
             raise ValueError(f"odd inert prime {p} has no degree-one ideal")
         if info.kind is SplitKind.RAMIFIED and p == 2:
@@ -166,16 +162,10 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
             # inert <2> and ramified ideals square to rational ideals
             continue
         n *= p**e
-        if p == 2:
-            # the root = 1 (mod 4) of b^2 = -m (mod 2^(2e+2)), as in <2, (1 + sqrt(-m))/2>
-            b = 1
-            for k in range(3, 2 * e + 2):
-                if (b * b + mod.m) % 2 ** (k + 1):
-                    b += 2 ** (k - 1)
-            r, modulus = crt(r, modulus, -b if conj else b, 2 ** (2 * e + 1))
-        else:
-            root = lift_root(mod, p, p - info.root if conj else info.root, 2 * e)
-            r, modulus = crt(r, modulus, root, p ** (2 * e))
+        # above 2 the root = 1 (mod 4), as in <2, (1 + sqrt(-m))/2>, needs one more power
+        k = 2 * e + (p == 2)
+        root = lift_root(mod, p, info.root, k)
+        r, modulus = crt(r, modulus, -root if any(conj) else root, p**k)
     if n == 1:
         return Triple(mod.m, 1, 0, 1)
     if modulus != n * n << (1 - mod.delta):
@@ -239,72 +229,63 @@ class BasisTable:
         return [
             p
             for p in self.split_primes(bound)
-            if self.table.in_two_torsion(self.table.class_of_prime(p))
+            if self.table.in_two_torsion(self.table._class_of(_split_info(self.mod, p)))
         ]
 
     def special(self) -> Triple | None:
         return special_four_element(self.mod)
 
-    def _classify(self, p: int) -> tuple[Category, tuple[ExpEntry, ...]]:
-        """The category of p and, for a composite p, its exponent vector.
-
-        Each coordinate b of the inverse image class is folded into
-        min(b, h - b) with a conjugate flag when the upper half was taken;
-        ties at exactly h/2 prefer the unconjugated pillar.
-        """
-        if kronecker(self.mod, p) != 1:
-            raise ValueError(f"{p} does not split: beta({p}) is undefined")
-        fp = self.table.class_of_prime(p)
-        if self.table.in_two_torsion(fp):
-            return Category.TWO_TORSION, ()
-        if any(pl.p == p for pl in self.pillars):
-            return Category.PILLAR, ()
-        b = self.quotient.coords(fp.inverse())
-        out = []
-        for bj, pl in zip(b, self.pillars):
-            if bj <= pl.order // 2:
-                out.append(ExpEntry(pl.index, bj, False))
-            else:
-                out.append(ExpEntry(pl.index, pl.order - bj, True))
-        return Category.COMPOSITE, tuple(out)
-
     def category_of(self, p: int) -> Category:
-        return self._classify(p)[0]
+        return self.beta(p).category
 
     def exponent_vector(self, p: int) -> tuple[ExpEntry, ...]:
         """Canonical pillar exponents moving the ideal above p into 2-torsion."""
-        cat, exps = self._classify(p)
-        if cat is Category.TWO_TORSION:
+        el = self.beta(p)
+        if el.category is Category.TWO_TORSION:
             raise ValueError(f"the class of {p} is 2-torsion; its exponent vector is trivial")
-        if cat is Category.PILLAR:
+        if el.category is Category.PILLAR:
             raise ValueError(f"{p} is a pillar prime")
-        return exps
+        return el.exps
 
     def beta(self, p: int) -> BasisElement:
-        got = self._beta.get(p)
-        if got is None:
-            got = self._beta[p] = self._compute_beta(p)
-        return got
+        """beta(p), computed once; raises ValueError unless p is a split prime."""
+        return self._beta.get(p) or self._compute_beta(splitting_type(self.mod, p))
 
-    def _compute_beta(self, p: int) -> BasisElement:
-        """The smallest triple, by (a, c), over the admissible conjugation patterns.
+    def _compute_beta(self, info: PrimeSplitInfo) -> BasisElement:
+        """beta(p) from the splitting data of p, stored in the memo.
 
+        The class of the ideal above p gives the category.  For a composite
+        p each coordinate b of the inverse image class is folded into
+        min(b, h - b) with a conjugate flag when the upper half was taken;
+        ties at exactly h/2 prefer the unconjugated pillar.  The triple is
+        the smallest, by (a, c), over the admissible conjugation patterns.
         The canonical flags put the product into 2-torsion.  Flipping pillar
         j moves its class by the pillar's class to the power -+2a, which by
         the independence of the pillar images stays 2-torsion iff 2a = h.
         """
-        cat, exps = self._classify(p)
-        pillar = next(pl for pl in self.pillars if pl.p == p) if cat is Category.PILLAR else None
-        own = (pillar.info, pillar.order) if pillar else (splitting_type(self.mod, p), 1)
+        p = info.p
+        if info.kind is not SplitKind.SPLIT:
+            raise ValueError(f"{p} does not split: beta({p}) is undefined")
+        fp = self.table._class_of(info)
+        index = next((pl.index for pl in self.pillars if pl.p == p), None)
+        if self.table.in_two_torsion(fp):
+            cat, own, exps = Category.TWO_TORSION, (info, 1), ()
+        elif index is not None:
+            cat, own, exps = Category.PILLAR, (info, self.pillars[index - 1].order), ()
+        else:
+            cat, own = Category.COMPOSITE, (info, 1)
+            exps = tuple(
+                ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
+                for b, pl in zip(self.quotient.coords(fp.inverse()), self.pillars)
+            )
         choices = [
             [(pl.info, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
             for e, pl in zip(exps, self.pillars)
             if e.a
         ]
-        patterns = itertools.product(*choices)
-        found = [two_torsion_triple(self.mod, [own, *pattern]) for pattern in patterns]
+        found = [two_torsion_triple(self.mod, [own, *pat]) for pat in itertools.product(*choices)]
         triple = min(found, key=lambda t: (t.a, t.c))
-        return BasisElement(p, triple, cat, pillar.index if pillar else None, exps)
+        return self._beta.setdefault(p, BasisElement(p, triple, cat, index, exps))
 
     def elements(self, bound: int) -> list[BasisElement]:
         """beta(p) for every split prime p up to bound, ascending.
@@ -315,5 +296,6 @@ class BasisTable:
         ps = self.split_primes(bound)
         if self.special() is not None and 2 not in ps:
             ps = [2, *ps]
-        return [self.beta(p) for p in ps]
+        # sieved primes: their splitting data needs no primality proof
+        return [self._beta.get(p) or self._compute_beta(_split_info(self.mod, p)) for p in ps]
 

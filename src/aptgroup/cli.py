@@ -10,6 +10,7 @@ verification failure.  Every command accepts and ignores --cache-dir.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -30,6 +31,17 @@ def _canonical(obj) -> str:
 
 def _structure_str(orders) -> str:
     return " x ".join(f"C{o}" for o in orders) if orders else "C1"
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Print ints beyond Python's 4300-digit limit; input is parsed outside, under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _get_table(args) -> BasisTable:
@@ -110,12 +122,13 @@ def cmd_generators(args) -> int:
         raise BoundTooLargeError(args.bound)
     bt = _get_table(args)
     elements = bt.elements(args.bound)
-    if args.json:
-        print(_canonical({"m": bt.mod.m, "bound": args.bound,
-                          "basis": [_element_json(el) for el in elements]}))
-        return 0
-    for el in elements:
-        print(_element_line(el))
+    with _any_int_length():
+        if args.json:
+            print(_canonical({"m": bt.mod.m, "bound": args.bound,
+                              "basis": [_element_json(el) for el in elements]}))
+            return 0
+        for el in elements:
+            print(_element_line(el))
     return 0
 
 
@@ -126,10 +139,8 @@ def cmd_beta(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(_canonical(_element_json(el)))
-    else:
-        print(_element_line(el))
+    with _any_int_length():
+        print(_canonical(_element_json(el)) if args.json else _element_line(el))
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .basis import BasisTable, Category
 from .primes import factorize, valuation
-from .quadfield import Modulus, SplitKind, ideal_valuation, kronecker, splitting_type
+from .quadfield import Modulus, SplitKind, _legendre, _split_info, ideal_valuation
 from .triples import Triple, add, identity, negate, scalar_mul
 
 __all__ = [
@@ -85,7 +85,7 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
     for q, e in factorize(t.c).items():
         if q == 2:
             continue
-        info = splitting_type(mod, q)
+        info = _split_info(mod, q)
         if info.kind is not SplitKind.SPLIT:
             raise ValueError(f"prime {q} divides the third component but does not split")
         v_plain = ideal_valuation(mod, t.a, -t.b, info, conj=False)
@@ -120,7 +120,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         fac = factorize(cur.c)
         ranked = []
         for q in fac:
-            if kronecker(mod, q) != 1:
+            if _legendre(mod, q) != 1:
                 if q == 2:
                     # a single factor 2 may ride along when -m = 1 (mod 4)
                     # even though 2 is inert; it vanishes with the odd part

@@ -176,20 +176,26 @@ def _split_info(mod: Modulus, p: int) -> PrimeSplitInfo:
 
 
 def lift_root(mod: Modulus, p: int, root: int, k: int) -> int:
-    """Hensel lift: the root of x^2 = -m (mod p^k) congruent to root mod p.
+    """Newton lift: for an odd split p, the root of x^2 = -m (mod p^k) above root mod p.
 
-    p must be an odd split prime and root a square root of -m mod p.
+    For a split 2 it is the root = 1 (mod 4) of x^2 = -m (mod 2^(k+1)),
+    unique mod 2^k.  The step r <- r - (r^2 + m) / (2r) takes a root mod
+    p^j to one mod p^(2j), and one mod 2^j (j >= 3) to one mod 2^(2j-2)
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
     """
-    pk = p
-    r = root % p
-    for _ in range(k - 1):
-        pk_next = pk * p
-        f = (r * r + mod.m) % pk_next
-        if f:
-            step = (f // pk * pow((2 * r) % p, -1, p)) % p
-            r = (r - step * pk) % pk_next
-        pk = pk_next
-    assert (r * r + mod.m) % pk == 0
+    if p == 2:
+        b, j = 1, 3
+        while j <= k:
+            j = 2 * j - 2
+            b = (b - (b * b + mod.m) // 2 * pow(b, -1, 1 << j)) % (1 << j)
+        assert (b * b + mod.m) % (2 << k) == 0
+        return b % (1 << k)
+    r, e = root % p, 1
+    while e < k:
+        e = min(2 * e, k)
+        pe = p**e
+        r = (r - (r * r + mod.m) * pow(2 * r, -1, pe)) % pe
+    assert (r * r + mod.m) % p**k == 0
     return r
 
 

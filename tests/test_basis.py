@@ -14,8 +14,10 @@ from aptgroup.basis import (
     split_primes,
     two_torsion_triple,
 )
+from aptgroup import classgroup, quadfield
 from aptgroup.classgroup import compose_forms
-from aptgroup.primes import is_squarefree
+from aptgroup.decompose import decompose, recombine
+from aptgroup.primes import is_prime, is_squarefree
 from aptgroup.quadfield import Modulus, ideal_valuation, splitting_type
 from aptgroup.triples import Triple
 
@@ -159,9 +161,9 @@ class TestExponentVectors:
 
     def test_rejects_L0_and_pillars(self, tables):
         bt = tables[974]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the class of 937 is 2-torsion"):
             bt.exponent_vector(937)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="5 is a pillar prime"):
             bt.exponent_vector(5)
 
 
@@ -259,6 +261,62 @@ class TestUniqueRepresentationScale:
             plain = [s for s in solve_norm_equation(mod, p * p) if s[1] > 0]
             double = [s for s in solve_norm_equation(mod, 4 * p * p) if s[1] > 0]
             assert len(plain) + len(double) == 1, (m, p, plain, double)
+
+
+class TestPrimesProvedOnce:
+    """Sieved and factored primes are not proved prime again."""
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(quadfield, "is_prime", spy)
+        monkeypatch.setattr(classgroup, "is_prime", spy)
+        return calls
+
+    def test_elements_prove_nothing(self, proofs):
+        bt = BasisTable(Modulus(35))
+        proofs.clear()
+        els = bt.elements(10**4)
+        assert proofs == []
+        assert [el.p for el in els] == split_primes(Modulus(35), 10**4)
+        assert bt.category_of(9973) is Category.TWO_TORSION and proofs == []
+
+    def test_two_torsion_primes_prove_nothing(self, proofs):
+        bt = BasisTable(Modulus(974))
+        proofs.clear()
+        assert bt.two_torsion_primes(983) == [937, 983]
+        assert proofs == []
+
+    def test_decompose_proves_only_in_factorize(self, proofs):
+        bt = BasisTable(Modulus(35))
+        t = recombine(bt, {1000033: 1, 1000037: 1})
+        proofs.clear()
+        assert decompose(bt, t).coefficients() == {1000033: 1, 1000037: 1}
+        assert proofs == []
+
+    def test_public_beta_proves_once(self, proofs):
+        bt = BasisTable(Modulus(974))
+        proofs.clear()
+        assert bt.beta(1009).category is Category.COMPOSITE
+        assert bt.category_of(1009) is Category.COMPOSITE
+        assert bt.exponent_vector(1009) == bt.beta(1009).exps
+        assert proofs == [1009]
+
+    def test_public_beta_still_rejects(self, tables):
+        bt = tables[35]
+        with pytest.raises(ValueError, match="1000001 is not prime"):
+            bt.beta(1000001)
+        with pytest.raises(ValueError, match="1000003 does not split"):
+            bt.beta(1000003)
+        with pytest.raises(ValueError, match="1000001 is not prime"):
+            bt.category_of(1000001)
+        with pytest.raises(ValueError, match="5 does not split"):
+            bt.exponent_vector(5)
 
 
 class TestEnumerateBasis:

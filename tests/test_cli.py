@@ -1,10 +1,12 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,41 @@ class TestBetaCommand:
     def test_prime_outside_L(self, capsys, tmp_path):
         code, _, err = run(capsys, "beta", "-m", "23", "5", "--cache-dir", str(tmp_path))
         assert code == 2 and "split" in err
+
+
+class TestLongOutput:
+    def test_beta_of_a_large_pillar_prints(self):
+        # m = 10^9 + 7: h = 26629, so beta(2) has a third component 2^26630
+        # of 8017 digits, beyond Python's default int -> str limit of 4300
+        src = str(Path(aptgroup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "aptgroup.cli", "beta", "-m", "1000000007", "2"],
+            capture_output=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr[-300:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "56cfe221f9666310a27eb2b18f1cf2e6b8646555afa13c2351265872dbf15ed2"
+        )
+        assert proc.stdout.endswith(b"   pillar  (factor 1)\n")
+        assert elapsed < 20
+
+    def test_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "beta", "-m", "974", "37", "--json")[0] == 0
+        assert run(capsys, "generators", "-m", "974", "--bound", "5")[0] == 0
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_input_still_refused(self, capsys):
+        code, out, err = run(capsys, "decompose", "-m", "974", "1" * 5000, "1", "1")
+        assert (code, out) == (2, "") and err.startswith("error:") and "4300" in err
+        code, out, err = run(capsys, "decompose", "-m", "974", ",".join(["1" * 5000] * 3))
+        assert (code, out) == (2, "") and "4300" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["beta", "-m", "1" * 5000, "2"])
+        assert exc.value.code == 2
 
 
 class TestDecomposeCommand:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from aptgroup.primes import primes_up_to
+from aptgroup.primes import is_squarefree, primes_up_to
 from aptgroup.quadfield import (
     MAX_MODULUS,
     InvalidModulusError,
@@ -121,6 +123,72 @@ class TestSqrtMod:
             else:
                 assert got in roots
                 assert got == 0 or got <= (p - 1) // 2
+
+
+def digit_lift(m, p, root, k):
+    """Hensel lifting one p-adic digit per step: the root of x^2 = -m (mod p^k) above root."""
+    pk, r = p, root % p
+    for _ in range(k - 1):
+        f = (r * r + m) % (pk * p)
+        if f:
+            r = (r - (f // pk * pow(2 * r % p, -1, p)) % p * pk) % (pk * p)
+        pk *= p
+    return r
+
+
+def digit_lift_2(m, k):
+    """The root = 1 (mod 4) of x^2 = -m (mod 2^(k+1)), one binary digit per step."""
+    b = 1
+    for j in range(3, k + 1):
+        if (b * b + m) % 2 ** (j + 1):
+            b += 2 ** (j - 1)
+    return b
+
+
+def random_moduli(rng, count, residue=None):
+    """Square-free m in [5, 10^9], all = residue (mod 8) when residue is given."""
+    out = []
+    while len(out) < count:
+        m = rng.randrange(5, 10**9)
+        if (residue is None or m % 8 == residue) and is_squarefree(m):
+            out.append(m)
+    return out
+
+
+class TestNewtonLift:
+    def test_odd_primes_match_digit_lift(self):
+        rng = random.Random(20140111)
+        primes = primes_up_to(3000)[1:]
+        cases = 0
+        for m in random_moduli(rng, 60):
+            mod = Modulus(m)
+            split = [p for p in primes if kronecker(mod, p) == 1]
+            for p in rng.sample(split, 8):
+                root = splitting_type(mod, p).root
+                for k in (1, 2, rng.randrange(3, 12), rng.randrange(12, 80)):
+                    for r0 in (root, p - root):
+                        assert lift_root(mod, p, r0, k) == digit_lift(m, p, r0, k), (m, p, r0, k)
+                        cases += 1
+        assert cases == 60 * 8 * 4 * 2
+
+    def test_two_matches_digit_lift(self):
+        # 2 splits exactly when -m = 1 (mod 8)
+        rng = random.Random(20140112)
+        for m in random_moduli(rng, 40, residue=7):
+            mod = Modulus(m)
+            assert kronecker(mod, 2) == 1
+            for k in [*range(1, 20), *rng.sample(range(20, 400), 10)]:
+                b = lift_root(mod, 2, 1, k)
+                assert b == digit_lift_2(m, k) % 2**k, (m, k)
+                assert (b * b + m) % 2 ** (k + 1) == 0
+
+    def test_large_power(self):
+        # a pillar 2 of order h needs the root modulo 2^(2h + 1)
+        mod = Modulus(100000007)
+        b = lift_root(mod, 2, 1, 3001)
+        assert b == digit_lift_2(100000007, 3001)
+        r = lift_root(Modulus(974), 5, 1, 500)
+        assert r == digit_lift(974, 5, 1, 500) and (r * r + 974) % 5**500 == 0
 
 
 class TestValuations:

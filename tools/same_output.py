@@ -1,4 +1,4 @@
-"""Print three SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print four SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -11,7 +11,10 @@ sorted forms and invariant factors of those four and of m = 510510, whose
 discriminant has seven prime factors.  The same third digest means the
 same stdout and exit code of `verify-paper`, `verify-paper --m M` for
 m = 35, 23, 974, and `classgroup -m M --json` for the four, all run in
-this process.  It takes a few seconds.
+this process.  The same fourth digest means the same stdout and exit code
+of `generators -m 35 --bound 100000 --json` and `beta -m 100000007 2
+--json`, and the same category_of and exponent_vector (or error text) of
+every 2 <= p <= 200 at m = 974, 23 and 35.  It takes a few seconds.
 """
 
 import contextlib
@@ -46,6 +49,10 @@ COMMANDS = [
     ["verify-paper"],
     *(["verify-paper", "--m", str(m)] for m in (35, 23, 974)),
     *(["classgroup", "-m", str(m), "--json"] for m in LARGE),
+]
+BASIS_COMMANDS = [
+    ["generators", "-m", "35", "--bound", "100000", "--json"],
+    ["beta", "-m", "100000007", "2", "--json"],
 ]
 
 
@@ -82,12 +89,27 @@ def large_records():
         yield m, table.forms, table.structure
 
 
-def cli_records():
-    for argv in COMMANDS:
+def cli_records(commands):
+    for argv in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli_main(argv)
         yield argv, code, out.getvalue()
+
+
+def outcome(f, p):
+    try:
+        return f(p)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def basis_records():
+    yield from cli_records(BASIS_COMMANDS)
+    for m in (974, 23, 35):
+        bt = BasisTable(Modulus(m))
+        for p in range(2, 201):
+            yield m, p, outcome(bt.category_of, p), outcome(bt.exponent_vector, p)
 
 
 def digest(recs):
@@ -101,7 +123,8 @@ def digest(recs):
 def main():
     print(digest(records()))
     print(digest(large_records()))
-    print(digest(cli_records()))
+    print(digest(cli_records(COMMANDS)))
+    print(digest(basis_records()))
 
 
 if __name__ == "__main__":
