@@ -7,14 +7,16 @@ middle coefficient: for each b, the leading coefficients a are read off the
 divisors of (b^2 - disc)/4, and all those values are factored together by
 one sieve over the primes at which disc is a square, so enumeration costs
 about sqrt|disc| log log|disc| divisions rather than a scan of every (a, b)
-pair.  Beyond the bare group this module recovers the invariant factors
-and the 2-torsion subgroup Cl[2], both read off the order of every class:
-Cl[2] is the classes of order at most 2, and for each prime q the counts
-|Cl[q^k]| = #{x : x^(q^k) = 1} fix the q-parts of the invariant factors.
-Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
-quotient Cl/Cl[2] is presented as that subgroup: a direct sum in which each
-cyclic factor is generated by the square of the class of a chosen split
-prime ideal (a "pillar").
+pair.  Beyond the bare group this module recovers the 2-torsion subgroup
+Cl[2] and the invariant factors.  Cl[2] is read off the shape of the
+forms: it is the ambiguous ones, b = 0, b = a or a = c (Gauss's genus
+theory; Cohen, GTM 138, section 5.6).  Squaring maps Cl onto its subgroup
+of squares Cl^2 with kernel Cl[2], so only the classes of Cl^2 have their
+orders walked; for each prime q the counts #{x in Cl^2 : x^(q^k) = 1} fix
+the q-parts of the invariant factors of Cl^2, and those of Cl follow from
+them and the 2-rank.  The quotient Cl/Cl[2] is presented as Cl^2: a direct
+sum in which each cyclic factor is generated by the square of the class of
+a chosen split prime ideal (a "pillar").
 """
 
 from __future__ import annotations
@@ -70,11 +72,20 @@ class FormClass(namedtuple("FormClass", "a b c")):
         return b * b - 4 * a * c
 
     def inverse(self) -> "FormClass":
+        """(a, -b, c), or the form itself when it is ambiguous: no reduction needed."""
+        if _is_ambiguous(self):
+            return self
         a, b, c = self
-        return reduce_form(a, -b, c)
+        return tuple.__new__(FormClass, (a, -b, c))
 
     def __repr__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
+
+
+def _is_ambiguous(f: FormClass) -> bool:
+    """Whether the reduced form f is its own inverse, i.e. lies in Cl[2]."""
+    a, b, c = f
+    return b == 0 or b == a or a == c
 
 
 def reduce_form(a: int, b: int, c: int, disc: int | None = None) -> FormClass:
@@ -194,24 +205,28 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     return out
 
 
-def _element_orders(forms, ident: FormClass) -> dict[FormClass, int]:
-    """The order of every form, one walk of powers per cyclic subgroup.
+def _element_orders(generators, ident: FormClass, size: int) -> dict[FormClass, int]:
+    """The order of every element of the subgroup of the given size that the generators span.
 
-    Walking g, g^2, ..., g^n = ident gives the order n / gcd(n, k) of every
-    power g^k, so a form met as a power of an earlier one is not walked.
-    Each walk meets at least the phi(n) generators of <g> for the first
-    time, so the walks take O(h log log h) compositions in all.
+    Generators are drawn, lazily, only until all size elements have an
+    order.  Walking g, g^2, ..., g^n = ident gives the order n / gcd(n, k)
+    of every power g^k, so a form met as a power of an earlier one is not
+    walked.  Each walk stops halfway, at the first j where g^j is its own
+    inverse (n = 2j) or the inverse of g^(j-1) (n = 2j - 1); the powers
+    past it are the inverses of those before, which cost no composition.
     """
     orders = {ident: 1}
-    for g in forms:
+    while len(orders) < size:
+        g = next(generators)
         if g in orders:
             continue
-        powers = [g]
-        while powers[-1] != ident:
+        powers = [ident, g]  # powers[j] = g^j
+        while (inv := powers[-1].inverse()) not in (powers[-1], powers[-2]):
             powers.append(compose_forms(powers[-1], g))
-        n = len(powers)
-        for k, x in enumerate(powers, start=1):
-            orders[x] = n // gcd(n, k)
+        j = len(powers) - 1
+        n = 2 * j if inv == powers[-1] else 2 * j - 1
+        for k in range(1, j + 1):
+            orders[powers[k]] = orders[powers[k].inverse()] = n // gcd(n, k)
     return orders
 
 
@@ -241,11 +256,16 @@ def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
 
 
 class ClassGroupTable:
-    """All reduced forms of one field discriminant, with the order of each.
+    """All reduced forms of one field discriminant, with Cl[2] and the orders of Cl^2.
 
-    ``structure`` holds the invariant factors of Cl, largest first.  The
-    table is immutable after construction and every query is a pure read,
-    so instances may be shared freely between threads.
+    ``twotorsion`` is the ambiguous forms and ``structure`` holds the
+    invariant factors of Cl, largest first.  The orders are walked on the
+    squares only: the forms are squared in ascending order until every
+    class of Cl^2 has its order, or walked themselves when Cl[2] is
+    trivial and Cl^2 = Cl.  The invariant factors of Cl^2, padded with 1s
+    to the 2-rank r, give those of Cl by doubling the first r.  The table
+    is immutable after construction and every query is a pure read, so
+    instances may be shared freely between threads.
     """
 
     def __init__(self, mod: Modulus):
@@ -254,16 +274,30 @@ class ClassGroupTable:
         self.identity = principal_form(self.disc)
         self.forms: tuple[FormClass, ...] = tuple(_enumerate_reduced(self.disc))
         self.h = len(self.forms)
-        self._orders = _element_orders(self.forms, self.identity)
-        self.twotorsion: tuple[FormClass, ...] = tuple(f for f in self.forms if self._orders[f] <= 2)
-        self.structure: tuple[int, ...] = _invariant_factors(list(self._orders.values()))
+        self.twotorsion: tuple[FormClass, ...] = tuple(f for f in self.forms if _is_ambiguous(f))
+        # a form and its inverse span one cyclic subgroup, and an ambiguous
+        # form squares to the identity, so only 0 < b < a < c is drawn
+        drawn = (f for f in self.forms if 0 < f.b < f.a < f.c)
+        if len(self.twotorsion) > 1:
+            drawn = (compose_forms(f, f) for f in drawn)
+        self._orders = _element_orders(drawn, self.identity, self.h // len(self.twotorsion))
+        rank = len(self.twotorsion).bit_length() - 1
+        factors = list(_invariant_factors(list(self._orders.values())))
+        factors += [1] * (rank - len(factors))
+        self.structure: tuple[int, ...] = tuple(
+            2 * n if i < rank else n for i, n in enumerate(factors)
+        )
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
 
     def order_of(self, f: FormClass) -> int:
-        return self._orders[f]
+        n = self._orders.get(f)
+        if n is None:
+            # an element of odd order is a square, so f has even order, twice that of f^2
+            n = 2 * self._orders[compose_forms(f, f)]
+        return n
 
     def in_two_torsion(self, f: FormClass) -> bool:
-        return self._orders[f] <= 2
+        return _is_ambiguous(f)
 
     def class_of_prime(self, p: int) -> FormClass:
         """The class of the chosen prime ideal over p (the canonical lifting).

@@ -181,20 +181,29 @@ def lift_root(mod: Modulus, p: int, root: int, k: int) -> int:
     For a split 2 it is the root = 1 (mod 4) of x^2 = -m (mod 2^(k+1)),
     unique mod 2^k.  The step r <- r - (r^2 + m) / (2r) takes a root mod
     p^j to one mod p^(2j), and one mod 2^j (j >= 3) to one mod 2^(2j-2)
-    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).  That
+    step needs the inverse u of 2r only mod p^j (of b only mod 2^(j-2) for
+    p = 2), and u follows its own Newton step u <- u (2 - x u), which
+    doubles its precision with products alone (ibid., ch. 9), so no step
+    computes a modular inverse.
     """
     if p == 2:
-        b, j = 1, 3
+        b, u, j = 1, 1, 3  # u = b^-1 mod 2^(j-2)
         while j <= k:
             j = 2 * j - 2
-            b = (b - (b * b + mod.m) // 2 * pow(b, -1, 1 << j)) % (1 << j)
+            b = (b - (b * b + mod.m) // 2 * u) % (1 << j)
+            if j <= k:
+                u = u * (2 - b * u) % (1 << (j - 2))
         assert (b * b + mod.m) % (2 << k) == 0
         return b % (1 << k)
     r, e = root % p, 1
+    u = pow(2 * r, -1, p) if k > 1 else 0  # (2r)^-1 mod p^e
     while e < k:
         e = min(2 * e, k)
         pe = p**e
-        r = (r - (r * r + mod.m) * pow(2 * r, -1, pe)) % pe
+        r = (r - (r * r + mod.m) * u) % pe
+        if e < k:
+            u = u * (2 - 2 * r * u) % pe
     assert (r * r + mod.m) % p**k == 0
     return r
 

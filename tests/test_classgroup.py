@@ -339,7 +339,10 @@ class TestEnumerate:
         assert ClassGroupTable(Modulus(m)).structure == want
 
     def test_structure_and_orders_match_peel_oracle(self):
-        moduli = [m for m in range(5, 400) if is_squarefree(m)] + [974, 2437, 3299, 3886]
+        # 30030, 46189 and 62790 have 2-rank 5, 4 and 5: most of their
+        # classes are not squares, so order_of composes on demand
+        moduli = [m for m in range(5, 400) if is_squarefree(m)]
+        moduli += [974, 2437, 3299, 3886, 30030, 46189, 62790]
         for m in moduli:
             table = ClassGroupTable(Modulus(m))
             peeled = _peel_structure(table.forms, compose_forms, table.identity)
@@ -350,6 +353,25 @@ class TestEnumerate:
                     cur = compose_forms(cur, f)
                     k += 1
                 assert table.order_of(f) == k, (m, f)
+                assert table.in_two_torsion(f) == (k <= 2), (m, f)
+
+    @pytest.mark.parametrize(
+        # walking the powers of every class took 1830, 748, 3685 and 1274 compositions
+        "m,limit",
+        [(3000010, 1830 // 4), (2000002, 748 // 4), (9699690, 3685 // 4), (10000019, 1274 * 55 // 100)],
+    )
+    def test_table_walks_only_the_squares(self, monkeypatch, m, limit):
+        # m = 10000019 has odd h, so Cl^2 = Cl and only the half walks save
+        count, compose = 0, classgroup.compose_forms
+
+        def counting_compose(f, g):
+            nonlocal count
+            count += 1
+            return compose(f, g)
+
+        monkeypatch.setattr(classgroup, "compose_forms", counting_compose)
+        ClassGroupTable(Modulus(m))
+        assert 0 < count <= limit
 
     def test_structure_is_internal_direct_sum(self):
         # generators come from the peel oracle; their orders are table.structure

@@ -183,12 +183,21 @@ class TestNewtonLift:
                 assert (b * b + m) % 2 ** (k + 1) == 0
 
     def test_large_power(self):
-        # a pillar 2 of order h needs the root modulo 2^(2h + 1)
-        mod = Modulus(100000007)
-        b = lift_root(mod, 2, 1, 3001)
-        assert b == digit_lift_2(100000007, 3001)
+        # a pillar 2 of order h needs the root modulo 2^(2h + 1); the
+        # precisions straddle the Newton steps (2^j + 2 at p = 2, 2^j at odd
+        # p), where the last step skips the inverse's update, and a digit lift
+        # to the top precision reduces to the lift at every lower one
+        want = digit_lift_2(100000007, 4098)
+        for k in (2049, 2050, 2051, 3001, 4097, 4098):
+            assert lift_root(Modulus(100000007), 2, 1, k) == want % 2**k, k
         r = lift_root(Modulus(974), 5, 1, 500)
         assert r == digit_lift(974, 5, 1, 500) and (r * r + 974) % 5**500 == 0
+        mod = Modulus(974)
+        root = splitting_type(mod, 3).root
+        for r0 in (root, 3 - root):
+            want = digit_lift(974, 3, r0, 2049)
+            for k in (1023, 1024, 1025, 2048, 2049):
+                assert lift_root(mod, 3, r0, k) == want % 3**k, (k, r0)
 
 
 class TestValuations:

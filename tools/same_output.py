@@ -1,4 +1,4 @@
-"""Print four SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print five SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -14,7 +14,11 @@ m = 35, 23, 974, and `classgroup -m M --json` for the four, all run in
 this process.  The same fourth digest means the same stdout and exit code
 of `generators -m 35 --bound 100000 --json` and `beta -m 100000007 2
 --json`, and the same category_of and exponent_vector (or error text) of
-every 2 <= p <= 200 at m = 974, 23 and 35.  It takes a few seconds.
+every 2 <= p <= 200 at m = 974, 23 and 35.  The same fifth digest means
+the same invariant factors, number of 2-torsion classes and order of every
+form, for every square-free 5 <= m < 3000, for m = 30030, 510510 and
+9699690, whose groups have 2-rank 5 to 7, and for the four.  It takes a
+few seconds.
 """
 
 import contextlib
@@ -112,6 +116,14 @@ def basis_records():
             yield m, p, outcome(bt.category_of, p), outcome(bt.exponent_vector, p)
 
 
+def order_records():
+    for m in [*range(5, 3000), 30030, 510510, 9699690, *LARGE]:
+        if not is_squarefree(m):
+            continue
+        table = ClassGroupTable(Modulus(m))
+        yield m, table.structure, len(table.twotorsion), [table.order_of(f) for f in table.forms]
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -125,6 +137,7 @@ def main():
     print(digest(large_records()))
     print(digest(cli_records(COMMANDS)))
     print(digest(basis_records()))
+    print(digest(order_records()))
 
 
 if __name__ == "__main__":
