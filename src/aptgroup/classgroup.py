@@ -205,28 +205,40 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     return out
 
 
+def _cyclic_powers(g: FormClass, ident: FormClass) -> list[FormClass]:
+    """[g^0, g^1, ..., g^(n-1)] for g of order n, in about n/2 compositions.
+
+    The walk stops halfway, at the first j where g^j is its own inverse
+    (n = 2j) or the inverse of g^(j-1) (n = 2j - 1); the powers past it,
+    g^k = (g^(n-k))^-1, are inverses of those before, which cost none.
+    """
+    if g == ident:
+        return [ident]
+    powers = [ident, g]  # powers[j] = g^j
+    while (inv := powers[-1].inverse()) not in (powers[-1], powers[-2]):
+        powers.append(compose_forms(powers[-1], g))
+    j = len(powers) - 1
+    n = 2 * j if inv == powers[-1] else 2 * j - 1
+    return powers + [powers[n - k].inverse() for k in range(j + 1, n)]
+
+
 def _element_orders(generators, ident: FormClass, size: int) -> dict[FormClass, int]:
     """The order of every element of the subgroup of the given size that the generators span.
 
     Generators are drawn, lazily, only until all size elements have an
-    order.  Walking g, g^2, ..., g^n = ident gives the order n / gcd(n, k)
-    of every power g^k, so a form met as a power of an earlier one is not
-    walked.  Each walk stops halfway, at the first j where g^j is its own
-    inverse (n = 2j) or the inverse of g^(j-1) (n = 2j - 1); the powers
-    past it are the inverses of those before, which cost no composition.
+    order.  The powers g^k of a generator of order n, walked by
+    _cyclic_powers, have order n / gcd(n, k), so a form met as a power of
+    an earlier one is not walked.
     """
     orders = {ident: 1}
     while len(orders) < size:
         g = next(generators)
         if g in orders:
             continue
-        powers = [ident, g]  # powers[j] = g^j
-        while (inv := powers[-1].inverse()) not in (powers[-1], powers[-2]):
-            powers.append(compose_forms(powers[-1], g))
-        j = len(powers) - 1
-        n = 2 * j if inv == powers[-1] else 2 * j - 1
-        for k in range(1, j + 1):
-            orders[powers[k]] = orders[powers[k].inverse()] = n // gcd(n, k)
+        powers = _cyclic_powers(g, ident)
+        n = len(powers)
+        for k in range(1, n):
+            orders[powers[k]] = n // gcd(n, k)
     return orders
 
 
@@ -263,9 +275,10 @@ class ClassGroupTable:
     squares only: the forms are squared in ascending order until every
     class of Cl^2 has its order, or walked themselves when Cl[2] is
     trivial and Cl^2 = Cl.  The invariant factors of Cl^2, padded with 1s
-    to the 2-rank r, give those of Cl by doubling the first r.  The table
-    is immutable after construction and every query is a pure read, so
-    instances may be shared freely between threads.
+    to the 2-rank r, give those of Cl by doubling the first r.  All is
+    fixed at construction but the memo of quotients, one per pillar
+    choice, that quotient_setup fills lazily: two threads may both build
+    one quotient, and either of the equal results is kept.
     """
 
     def __init__(self, mod: Modulus):
@@ -328,12 +341,6 @@ class ClassGroupTable:
         while b <= -p:
             b += 2 * p
         return reduce_form(p, b, (b * b - self.disc) // (4 * p), self.disc)
-
-    def quotient(self, pillars: tuple[int, ...] | None = None) -> "QuotientData":
-        got = self._quotients.get(pillars)
-        if got is None:
-            got = self._quotients[pillars] = QuotientData(self, pillars)
-        return got
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,7 @@ class QuotientData:
                 raise PillarConfigError(f"pillar prime {p} does not split")
             form = table._class_of(info)
             if powers is None:
-                powers = self._powers(self._image(form))
+                powers = _cyclic_powers(compose_forms(form, form), ident)
             if len(powers) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
             grown = {
@@ -430,43 +437,23 @@ class QuotientData:
         self.pillars: tuple[Pillar, ...] = tuple(pillars)
         self._coords = coords
 
-    def _image(self, f: FormClass) -> FormClass:
-        return compose_forms(f, f)
-
-    def _powers(self, x: FormClass) -> list[FormClass]:
-        """The powers of x, from the identity up."""
-        ident = self.identity
-        powers = [ident]
-        while (nxt := _mul(powers[-1], x, ident)) != ident:
-            powers.append(nxt)
-        return powers
-
-    def _join(self, a: frozenset[FormClass], b: frozenset[FormClass]) -> frozenset[FormClass]:
-        ident = self.identity
-        return frozenset(_mul(x, y, ident) for x in a for y in b)
-
-    def _select_default_pillars(
-        self, table: ClassGroupTable
-    ) -> list[tuple[int, list[FormClass] | None]]:
-        """The default pillar primes, one per invariant factor.
-
-        Each comes with the powers of its image if phase one walked them,
-        else with None, so that no powers are walked twice.
+    def _select_default_pillars(self, table: ClassGroupTable) -> list[tuple[int, list[FormClass]]]:
+        """The default pillar primes, one per invariant factor, each with the powers of its image.
 
         Phase one builds a primary skeleton: for every prime-power slot q^k
-        occurring in the invariant factors (q ascending, powers descending),
-        take the smallest split prime whose image (the square of its class)
-        has order exactly q^k and is independent of the skeleton built so
-        far for the same q.  Phase two assembles each invariant factor from
-        its skeleton summands and picks the smallest split prime whose image
-        generates exactly that assembled subgroup; such a prime exists by
-        Chebotarev density; factor j takes the j-th slot of each q, as both
-        descend.  Both phases draw from the split primes in
+        of the invariant factors (q ascending, powers descending), the
+        smallest split prime whose image (the square of its class) has
+        order q^k and whose span meets the skeleton of q so far only in the
+        identity.  The j-th skeleton images of the q dividing factor j
+        (both lists descend) multiply to a generator g of that cyclic
+        factor, of order tau.  Phase two picks the smallest split prime
+        whose image x = g^s generates it, gcd(s, tau) = 1, which exists by
+        Chebotarev density.  Both phases draw the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
-        costs one composition (its image): phase one reads the image's order
-        before it walks its powers, once per prime, and phase two needs no
-        span, since an element of the cyclic target generates it iff its
-        order is |target|.
+        costs one composition, its image.  Each walk goes through
+        _cyclic_powers once, memoised by form, so a prime-power factor
+        reuses phase one's walk, and the pick's powers x^e = g^(s*e mod tau)
+        are read off the walk of g.
         """
         ident = self.identity
         slots: list[tuple[int, int]] = []
@@ -475,7 +462,7 @@ class QuotientData:
         slots.sort(key=lambda s: (s[0], -s[1]))
 
         scanned: list[tuple[int, FormClass]] = []  # (p, image of its class)
-        walks: dict[int, list[FormClass]] = {}  # p -> powers of its image
+        walks: dict[FormClass, list[FormClass]] = {}  # x -> powers of x
         stream = _split_prime_infos(table.mod)
 
         def candidates():
@@ -483,39 +470,48 @@ class QuotientData:
             while True:
                 if i == len(scanned):
                     info = next(stream)
-                    scanned.append((info.p, self._image(table._class_of(info))))
+                    f = table._class_of(info)
+                    scanned.append((info.p, compose_forms(f, f)))
                 yield scanned[i]
                 i += 1
 
-        # phase one: primary skeleton, the spans of each q by descending order
-        skeleton: dict[int, list[frozenset[FormClass]]] = {}
+        def walk(x: FormClass) -> list[FormClass]:
+            if x not in walks:
+                walks[x] = _cyclic_powers(x, ident)
+            return walks[x]
+
+        # phase one: primary skeleton, the images of each q by descending order
+        skeleton: dict[int, list[FormClass]] = {}
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
             acc = acc_by_q.get(q, frozenset({ident}))
-            for p, image in candidates():
+            for _, image in candidates():
                 if table.order_of(image) == qk:
-                    if p not in walks:
-                        walks[p] = self._powers(image)
-                    span = frozenset(walks[p])
-                    if span & acc == {ident}:
-                        skeleton.setdefault(q, []).append(span)
-                        acc_by_q[q] = self._join(acc, span)
+                    span = walk(image)
+                    if acc.isdisjoint(span[1:]):
+                        skeleton.setdefault(q, []).append(image)
+                        acc_by_q[q] = frozenset(_mul(x, y, ident) for x in acc for y in span)
                         break
 
-        # phase two: assemble invariant factors and pick exact generators
+        # phase two: a generator of each invariant factor, then the first exact one
         picks = []
         for j, tau in enumerate(self.invariant_factors):
-            target: frozenset[FormClass] = frozenset({ident})
+            g = ident
             for q, _ in _prime_power_parts(tau):
-                target = self._join(target, skeleton[q][j])
+                g = _mul(g, skeleton[q][j], ident)
+            powers_of_g = walk(g)
+            exponent = {x: s for s, x in enumerate(powers_of_g)}
             # the targets are distinct subgroups, so no prime is picked twice
-            pick = next(p for p, x in candidates() if x in target and table.order_of(x) == tau)
-            picks.append((pick, walks.get(pick)))
+            for p, x in candidates():
+                s = exponent.get(x, 0)  # outside the target x counts as the identity
+                if gcd(s, tau) == 1:
+                    break
+            picks.append((p, [powers_of_g[s * e % tau] for e in range(tau)]))
         return picks
 
     def coords(self, f: FormClass) -> tuple[int, ...]:
         """Exponents of the image of f over the pillar images, one per factor."""
-        return self._coords[self._image(f)]
+        return self._coords[compose_forms(f, f)]
 
 
 def quotient_setup(
@@ -528,4 +524,7 @@ def quotient_setup(
     2-torsion the pillar list is empty, and only an empty override passes.
     """
     key = tuple(pillars) if pillars is not None else None
-    return table.quotient(key)
+    got = table._quotients.get(key)
+    if got is None:
+        got = table._quotients[key] = QuotientData(table, key)
+    return got

@@ -170,5 +170,4 @@ __all__ = [
     "valuation",
     "xgcd",
     "crt",
-    "gcd",
 ]

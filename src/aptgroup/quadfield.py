@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from math import gcd
 
-from .primes import is_prime, is_squarefree
+from .primes import is_prime, is_squarefree, valuation
 
 __all__ = [
     "MAX_MODULUS",
@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-# Largest accepted modulus.  On a 2-vCPU Xeon the class group of an m near
-# 10^10 and its quotient take about 1.3 s (m = 9999999967, h = 45691), and
-# up to 7.6 s and 143 MB when many small primes split (m = 9996032471,
+# Largest accepted modulus.  On a 2-vCPU Xeon, `classgroup -m M` near 10^10
+# takes about 0.9-1.3 s from process start (m = 9999999967, h = 45691), and
+# up to 4.0-4.6 s and 109 MB when many small primes split (m = 9996032471,
 # h = 236606): enumeration grows like sqrt(m), the rest like h.
 MAX_MODULUS = 10**10
 
@@ -222,17 +222,10 @@ def ideal_valuation(mod: Modulus, u: int, v: int, info: PrimeSplitInfo, conj: bo
     n = u * u + mod.m * v * v
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    vmax = 0
-    while n % p == 0:
-        n //= p
-        vmax += 1
+    vmax = valuation(n, p)
     if vmax == 0:
         return 0
-    g = gcd(u, v)
-    shared = 0
-    while g % p == 0:
-        g //= p
-        shared += 1
+    shared = valuation(gcd(u, v), p)
     if shared:
         pe = p**shared
         return shared + ideal_valuation(mod, u // pe, v // pe, info, conj)

@@ -14,6 +14,7 @@ from aptgroup.classgroup import (
     DiscriminantMismatchError,
     FormClass,
     PillarConfigError,
+    _cyclic_powers,
     _enumerate_reduced,
     _invariant_factors,
     _prime_power_parts,
@@ -355,6 +356,17 @@ class TestEnumerate:
                 assert table.order_of(f) == k, (m, f)
                 assert table.in_two_torsion(f) == (k <= 2), (m, f)
 
+    @pytest.mark.parametrize("m", [974, 3000010])
+    def test_cyclic_powers_match_plain_walk(self, m):
+        # every form: the identity, order 2 and odd orders among them
+        table = ClassGroupTable(Modulus(m))
+        ident = table.identity
+        for f in table.forms:
+            plain = [ident]
+            while (nxt := compose_forms(plain[-1], f)) != ident:
+                plain.append(nxt)
+            assert _cyclic_powers(f, ident) == plain, (m, f)
+
     @pytest.mark.parametrize(
         # walking the powers of every class took 1830, 748, 3685 and 1274 compositions
         "m,limit",
@@ -598,8 +610,17 @@ class TestQuotient:
                 acc = compose_forms(acc, form_power(table, pl.form, e))
             assert compose_forms(acc, acc) == compose_forms(f, f)
 
-    @pytest.mark.parametrize("m,size", [(2000002, 125), (614, 17)])
-    def test_compositions_at_most_two_per_class_and_one_per_scanned_prime(self, monkeypatch, m, size):
+    def test_quotient_is_memoised_per_pillar_choice(self):
+        # a basis table built on a class group reuses the quotient made for it
+        table = ClassGroupTable(Modulus(974))
+        q = quotient_setup(table)
+        assert BasisTable(Modulus(974), table=table).quotient is q
+        override = quotient_setup(table, [5, 41])
+        assert quotient_setup(table, (5, 41)) is override and override is not q
+
+    @staticmethod
+    def counted_quotient(monkeypatch, m):
+        """The default quotient of m, with its compositions and scanned split primes."""
         table = ClassGroupTable(Modulus(m))
         counts = {"compose": 0, "scanned": 0}
         compose, stream = classgroup.compose_forms, classgroup._split_prime_infos
@@ -615,12 +636,23 @@ class TestQuotient:
 
         monkeypatch.setattr(classgroup, "compose_forms", counting_compose)
         monkeypatch.setattr(classgroup, "_split_prime_infos", counting_stream)
-        q = quotient_setup(table)
+        return quotient_setup(table), counts["compose"], counts["scanned"]
+
+    @pytest.mark.parametrize("m,size", [(2000002, 125), (614, 17)])
+    def test_compositions_at_most_two_per_class_and_one_per_scanned_prime(self, monkeypatch, m, size):
+        q, compose, scanned = self.counted_quotient(monkeypatch, m)
         assert q.size == size and q.invariant_factors == (size,)
-        assert 0 < counts["compose"] <= 2 * size + counts["scanned"]
-        # a cyclic quotient of prime-power order: one image per scanned prime,
-        # then the size - 1 powers of the pillar's image, walked once
-        assert counts["compose"] == counts["scanned"] + size - 1
+        assert 0 < compose <= 2 * size + scanned
+        # a cyclic quotient of odd prime-power order: one image per scanned
+        # prime, then the pillar image's half walk, whose powers are reused
+        assert compose == scanned + size // 2
+
+    def test_composite_cyclic_factor_is_walked_once(self, monkeypatch):
+        # C1275 = C3 x C25 x C17: its generator is walked once, and the
+        # pick's powers are read off that walk; walking them again took 3096
+        q, compose, scanned = self.counted_quotient(monkeypatch, 10000019)
+        assert q.invariant_factors == (1275,)
+        assert 0 < compose <= q.size + scanned
 
     def test_class_mod_two_torsion(self):
         table = ClassGroupTable(Modulus(974))

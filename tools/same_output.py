@@ -1,4 +1,4 @@
-"""Print five SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print six SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -17,8 +17,10 @@ of `generators -m 35 --bound 100000 --json` and `beta -m 100000007 2
 every 2 <= p <= 200 at m = 974, 23 and 35.  The same fifth digest means
 the same invariant factors, number of 2-torsion classes and order of every
 form, for every square-free 5 <= m < 3000, for m = 30030, 510510 and
-9699690, whose groups have 2-rank 5 to 7, and for the four.  It takes a
-few seconds.
+9699690, whose groups have 2-rank 5 to 7, and for the four.  The same
+sixth digest means the same default coordinates of every form of the
+four, among whose cyclic factors are the composite orders 1275 = 3 * 5^2 *
+17 and 1748 = 2^2 * 19 * 23.  It takes a few seconds.
 """
 
 import contextlib
@@ -124,6 +126,13 @@ def order_records():
         yield m, table.structure, len(table.twotorsion), [table.order_of(f) for f in table.forms]
 
 
+def coord_records():
+    for m in LARGE:
+        table = ClassGroupTable(Modulus(m))
+        q = quotient_setup(table)
+        yield m, [(f, q.coords(f)) for f in table.forms]
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -138,6 +147,7 @@ def main():
     print(digest(cli_records(COMMANDS)))
     print(digest(basis_records()))
     print(digest(order_records()))
+    print(digest(coord_records()))
 
 
 if __name__ == "__main__":
