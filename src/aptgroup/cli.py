@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decompose", help="decompose a triple over the basis (JSON output)")
     _add_common(p)
-    p.add_argument("triple", nargs="+", help="a b c as three arguments, or one 'a,b,c'")
+    p.add_argument("triple", nargs="+", help="a b c as three arguments, or one 'a,b,c'; "
+                   "write one that starts with '-' as '-- -a,b,c' or '[-a,b,c]'")
 
     p = subs.add_parser("verify-paper", help="recompute the published worked examples")
     p.add_argument("--m", dest="m", type=int, default=None, help="restrict to one modulus")

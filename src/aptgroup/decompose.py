@@ -1,9 +1,11 @@
 """Exact decomposition of triples over the beta basis.
 
 Any primitive triple is an integer combination of basis triples.  The
-coefficients are recovered by valuation descent on the third component:
-while some odd-part prime q remains, one of t +- beta(q) strictly lowers
-the q-adic valuation, and the sign that works contributes the coefficient.
+coefficients are recovered by descent on the third component: while some
+prime q of it remains, t - beta(q) strictly lowers the power of q when t
+and beta(q) lie over the same prime ideal at q, and t + beta(q) does
+otherwise; one residue mod q^2 tells which, and the sign taken
+contributes the coefficient.
 Composite primes are cleared first (their basis triples re-inject only
 pillar primes and 2), then pillars, then the ideal-wise 2-torsion primes,
 each prime's category read off its cached basis element beta(q);
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .basis import BasisTable, Category
-from .primes import factorize, valuation
-from .quadfield import Modulus, SplitKind, _legendre, _split_info, ideal_valuation
-from .triples import Triple, add, identity, negate, scalar_mul
+from .primes import factorize
+from .quadfield import Modulus, SplitKind, _legendre, _split_info
+from .triples import Triple, add, identity, scalar_mul
 
 __all__ = [
     "DecompositionError",
@@ -73,8 +75,9 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
     """Prime-ideal factorization of <a - b*sqrt(-m)> at the odd primes.
 
     Every odd prime dividing c splits, and coprimality of (a, b) forces the
-    whole valuation 2 * v_q(c) onto exactly one of the two ideals over q;
-    the Hensel root criterion decides which.  All exponents are even and
+    whole valuation 2 * v_q(c) onto exactly one of the two ideals over q:
+    a - b*sqrt(-m) lies in <q, r + sqrt(-m)> exactly when q divides a + b*r,
+    and otherwise in the conjugate.  All exponents are even and
     the ideal norms multiply to the square of the odd part of c.  The
     2-adic part (present only when -m = 1 mod 4 and c is even) is carried
     by the triple itself and is not reported here.
@@ -88,15 +91,10 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
         info = _split_info(mod, q)
         if info.kind is not SplitKind.SPLIT:
             raise ValueError(f"prime {q} divides the third component but does not split")
-        v_plain = ideal_valuation(mod, t.a, -t.b, info, conj=False)
-        if v_plain > 0:
-            key = PrimeIdealRef(q, info.root, False)
-            v = v_plain
+        if (t.a + t.b * info.root) % q == 0:
+            out[PrimeIdealRef(q, info.root, False)] = 2 * e
         else:
-            key = PrimeIdealRef(q, q - info.root, True)
-            v = ideal_valuation(mod, t.a, -t.b, info, conj=True)
-        assert v == 2 * e, (t, q, v)
-        out[key] = v
+            out[PrimeIdealRef(q, q - info.root, True)] = 2 * e
     return out
 
 
@@ -116,19 +114,22 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     coeffs: dict[int, int] = {}
     special_coeff = 0
     cur = t
+    q = None  # the last step's prime, whose power must have dropped since
     while not cur.is_identity():
         fac = factorize(cur.c)
+        if q is not None and fac.get(q, 0) >= v0:
+            raise DecompositionError(f"descent stalled at prime {q} on {cur}")
         ranked = []
-        for q in fac:
-            if _legendre(mod, q) != 1:
-                if q == 2:
+        for p in fac:
+            if _legendre(mod, p) != 1:
+                if p == 2:
                     # a single factor 2 may ride along when -m = 1 (mod 4)
                     # even though 2 is inert; it vanishes with the odd part
                     continue
                 raise DecompositionError(
-                    f"prime {q} divides the third component but is outside L"
+                    f"prime {p} divides the third component but is outside L"
                 )
-            ranked.append((_CATEGORY_RANK[basis.beta(q).category], q))
+            ranked.append((_CATEGORY_RANK[basis.beta(p).category], p))
         if not ranked:
             raise DecompositionError(
                 f"residual third component {cur.c} admits no basis prime"
@@ -136,14 +137,12 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         cat, q = min(ranked)
         step = basis.beta(q).triple
         v0 = fac[q]
-        down = add(cur, negate(step))
-        if valuation(down.c, q) < v0:
-            cur, sign = down, 1
+        # both lie over the same ideal at q exactly when q^2 divides the
+        # cross term (q alone would do for odd q; q^2 also covers a split 2)
+        if (cur.a * step.b - step.a * cur.b) % (q * q) == 0:
+            cur, sign = add(cur, -step), 1
         else:
-            up = add(cur, step)
-            if valuation(up.c, q) >= v0:
-                raise DecompositionError(f"descent stalled at prime {q} on {cur}")
-            cur, sign = up, -1
+            cur, sign = add(cur, step), -1
         if special is not None and q == 2:
             special_coeff += sign
         else:

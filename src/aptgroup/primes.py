@@ -125,18 +125,6 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest v with p^v | n (n != 0)."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -167,7 +155,6 @@ __all__ = [
     "primes_up_to",
     "is_squarefree",
     "factorize",
-    "valuation",
     "xgcd",
     "crt",
 ]

@@ -4,17 +4,16 @@ The modulus m is a square-free integer with 3 < m <= 10^10.  Elements of
 the maximal order are (u + v*sqrt(-m)) / 2^(1-delta) where delta = 0
 exactly when -m = 1 (mod 4).  This module provides the field constants,
 the Kronecker symbol of -m, the splitting data of rational primes with a
-canonical square root convention, and prime-ideal valuations of elements
-via Hensel-lifted roots.
+canonical square root convention, and Newton lifts of those roots to
+prime powers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import gcd
 
-from .primes import is_prime, is_squarefree, valuation
+from .primes import is_prime, is_squarefree
 
 __all__ = [
     "MAX_MODULUS",
@@ -26,7 +25,6 @@ __all__ = [
     "splitting_type",
     "sqrt_mod",
     "lift_root",
-    "ideal_valuation",
 ]
 
 
@@ -206,33 +204,3 @@ def lift_root(mod: Modulus, p: int, root: int, k: int) -> int:
             u = u * (2 - 2 * r * u) % pe
     assert (r * r + mod.m) % p**k == 0
     return r
-
-
-def ideal_valuation(mod: Modulus, u: int, v: int, info: PrimeSplitInfo, conj: bool = False) -> int:
-    """Valuation of u + v*sqrt(-m) at the prime ideal over an odd split p.
-
-    The ideal is <p, r + sqrt(-m)> with r = info.root, or its conjugate
-    (r replaced by p - r) when conj is set.  u + v*sqrt(-m) lies in the
-    ideal's j-th power exactly when u = v * r_j (mod p^j) for the lifted
-    root r_j, up to the valuation of the norm.
-    """
-    if info.kind is not SplitKind.SPLIT or info.p == 2:
-        raise ValueError("valuations are supported at odd split primes only")
-    p = info.p
-    n = u * u + mod.m * v * v
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    vmax = valuation(n, p)
-    if vmax == 0:
-        return 0
-    shared = valuation(gcd(u, v), p)
-    if shared:
-        pe = p**shared
-        return shared + ideal_valuation(mod, u // pe, v // pe, info, conj)
-    r = lift_root(mod, p, info.root if not conj else p - info.root, vmax)
-    w = (u - v * r) % p**vmax
-    j = 0
-    while j < vmax and w % p == 0:
-        w //= p
-        j += 1
-    return j

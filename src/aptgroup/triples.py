@@ -22,7 +22,6 @@ __all__ = [
     "normalize",
     "parse_triple",
     "add",
-    "negate",
     "scalar_mul",
 ]
 
@@ -124,10 +123,6 @@ def add(t1: Triple, t2: Triple) -> Triple:
         t1.a * t2.b + t2.a * t1.b,
         t1.c * t2.c,
     )
-
-
-def negate(t: Triple) -> Triple:
-    return -t
 
 
 def scalar_mul(n: int, t: Triple) -> Triple:

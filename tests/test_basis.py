@@ -2,7 +2,7 @@ import itertools
 from math import gcd, prod
 
 import pytest
-from conftest import form_power, third_shape
+from conftest import form_power, ideal_valuation, third_shape
 
 from aptgroup.basis import (
     BasisElement,
@@ -18,7 +18,7 @@ from aptgroup import classgroup, quadfield
 from aptgroup.classgroup import compose_forms
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
-from aptgroup.quadfield import Modulus, ideal_valuation, splitting_type
+from aptgroup.quadfield import Modulus, splitting_type
 from aptgroup.triples import Triple
 
 SPLIT35 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]

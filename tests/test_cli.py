@@ -245,6 +245,14 @@ class TestDecomposeCommand:
         assert code == 0
         assert json.loads(out)["terms"] == [{"coeff": -1, "p": 5}, {"coeff": 1, "p": 37}]
 
+    def test_comma_triple_with_leading_minus(self, capsys):
+        # argparse reads a bare "-4141,66,4625" as an option; these two spellings are positional
+        _, want, _ = run(capsys, "decompose", "-m", "974", "4141,-66,4625")
+        for argv in (["--", "-4141,66,4625"], ["[-4141,66,4625]"]):
+            code, out, err = run(capsys, "decompose", "-m", "974", *argv)
+            assert (code, out, err) == (0, want, ""), argv
+        assert json.loads(want)["terms"] == [{"coeff": 1, "p": 5}, {"coeff": -1, "p": 37}]
+
     def test_not_a_solution_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "decompose", "-m", "23", "1", "1", "5",
                            "--cache-dir", str(tmp_path))

@@ -1,13 +1,58 @@
+import importlib
 import random
+from collections import Counter
 from math import isqrt
 
 import pytest
-from conftest import brute_triples
+from conftest import brute_triples, ideal_valuation, valuation
 
-from aptgroup import BasisTable, Modulus, Triple, decompose, recombine
+from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, recombine
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
-from aptgroup.triples import identity
-from aptgroup.primes import factorize
+from aptgroup.triples import add, identity
+from aptgroup.primes import factorize, is_squarefree
+from aptgroup.quadfield import kronecker, splitting_type
+
+# the package's `decompose` attribute is the function; the tests patch the module
+decompose_module = importlib.import_module("aptgroup.decompose")
+
+# every square-free m < 400 (7, 15 and 23 among them) and two larger worked moduli
+ORACLE_M = [m for m in range(5, 400) if is_squarefree(m)] + [614, 974]
+
+
+def seeded_triples(bt: BasisTable, rng: random.Random, count: int):
+    """count recombinations of up to 3 split primes <= 60, with the special element when it exists."""
+    primes = bt.split_primes(60)
+    for _ in range(count):
+        vec = {p: rng.randint(-3, 3) for p in rng.sample(primes, min(3, len(primes)))}
+        special = rng.randint(-2, 2) if bt.special() is not None else 0
+        yield recombine(bt, vec, special_coeff=special)
+
+
+def trial_sign(bt: BasisTable, cur: Triple, q: int) -> int:
+    """The descent's sign found by trial: +1 when cur - beta(q) lowers v_q(c), -1 when cur + beta(q) does."""
+    step = bt.beta(q).triple
+    v0 = valuation(cur.c, q)
+    if valuation(add(cur, -step).c, q) < v0:
+        return 1
+    assert valuation(add(cur, step).c, q) < v0, (cur, q)
+    return -1
+
+
+def oracle_ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
+    """ideal_valuations by the general valuation at both ideals over each odd q."""
+    out = {}
+    for q, e in factorize(t.c).items():
+        if q == 2:
+            continue
+        info = splitting_type(mod, q)
+        plain = ideal_valuation(mod, t.a, -t.b, info)
+        conj = ideal_valuation(mod, t.a, -t.b, info, conj=True)
+        assert sorted((plain, conj)) == [0, 2 * e], (t, q)
+        if plain:
+            out[PrimeIdealRef(q, info.root, False)] = plain
+        else:
+            out[PrimeIdealRef(q, q - info.root, True)] = conj
+    return out
 
 
 class TestIdealValuations:
@@ -57,6 +102,57 @@ class TestIdealValuations:
             PrimeIdealRef(5, 4, True): 2,
             PrimeIdealRef(41, 25, True): 2,
         }
+
+    def test_matches_general_valuation(self):
+        checked = 0
+        for m in ORACLE_M:
+            bt = BasisTable(Modulus(m))
+            for t in seeded_triples(bt, random.Random(m), 5):
+                for x in (t, -t):
+                    assert ideal_valuations(bt.mod, x) == oracle_ideal_valuations(bt.mod, x), x
+                    checked += 1
+        assert checked >= 2000
+
+
+class TestResidueSign:
+    def test_residue_sign_matches_trial_add(self, monkeypatch):
+        calls = []
+        real_add = decompose_module.add
+
+        def spy(t1, t2):
+            calls.append((t1, t2))
+            return real_add(t1, t2)
+
+        monkeypatch.setattr(decompose_module, "add", spy)
+        steps = Counter()
+        for m in ORACLE_M:
+            bt = BasisTable(Modulus(m))
+            for t in seeded_triples(bt, random.Random(m), 5):
+                calls.clear()
+                assert decompose(bt, t).verified
+                # recombination starts from the identity, which no descent step adds to
+                n = next((i for i, (cur, _) in enumerate(calls) if cur.is_identity()), len(calls))
+                for cur, arg in calls[:n]:
+                    q = next(
+                        q for q in factorize(cur.c)
+                        if (q != 2 or kronecker(bt.mod, 2) == 1) and arg in (bt.beta(q).triple, -bt.beta(q).triple)
+                    )
+                    sign = 1 if arg == -bt.beta(q).triple else -1
+                    assert sign == trial_sign(bt, cur, q), (m, cur, q)
+                    steps["two" if q == 2 else bt.beta(q).category.name] += 1
+        # steps at a split 2 (the special element's, at m = 7 and 15, among them),
+        # at pillars, at composite primes and at 2-torsion primes
+        assert min(steps.values()) >= 100 and len(steps) == 4 and sum(steps.values()) >= 5000, steps
+
+    @pytest.mark.parametrize("wrong", ["no-op", "flipped"])
+    def test_wrong_step_raises_instead_of_looping(self, tables, monkeypatch, wrong):
+        real_add = decompose_module.add
+        if wrong == "no-op":
+            monkeypatch.setattr(decompose_module, "add", lambda t1, t2: t1)
+        else:
+            monkeypatch.setattr(decompose_module, "add", lambda t1, t2: real_add(t1, -t2))
+        with pytest.raises(DecompositionError, match="descent stalled"):
+            decompose(tables[974], Triple(974, 4141, 66, 4625))
 
 
 class TestDecompose:

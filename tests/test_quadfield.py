@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import ideal_valuation
 
 from aptgroup.primes import is_squarefree, primes_up_to
 from aptgroup.quadfield import (
@@ -8,7 +9,6 @@ from aptgroup.quadfield import (
     InvalidModulusError,
     Modulus,
     SplitKind,
-    ideal_valuation,
     kronecker,
     lift_root,
     splitting_type,

@@ -5,7 +5,7 @@ import pytest
 
 from aptgroup import Modulus, NotASolutionError, Triple
 from aptgroup.quadfield import kronecker
-from aptgroup.triples import ModulusMismatchError, add, identity, negate, normalize, parse_triple, scalar_mul
+from aptgroup.triples import ModulusMismatchError, add, identity, normalize, parse_triple, scalar_mul
 from aptgroup.primes import factorize
 from conftest import brute_triples
 
@@ -60,10 +60,10 @@ class TestGroupLaw:
 
     def test_inverse(self):
         t = Triple(23, 13, 12, 59)
-        assert add(t, negate(t)) == identity(23)
-        assert negate(negate(t)) == t
-        assert negate(Triple(23, 13, 12, 59)) == Triple(23, 13, -12, 59)
-        assert negate(identity(23)) == identity(23)
+        assert add(t, -t) == identity(23)
+        assert -(-t) == t
+        assert -Triple(23, 13, 12, 59) == Triple(23, 13, -12, 59)
+        assert -identity(23) == identity(23)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatchError):
@@ -73,7 +73,6 @@ class TestGroupLaw:
         t = Triple(23, 13, 12, 59)
         assert t - t == identity(23)
         assert 2 * t == add(t, t)
-        assert -t == negate(t)
 
 
 class TestScalarMul:
@@ -86,7 +85,7 @@ class TestScalarMul:
 
     def test_negative_matches_inverse(self):
         t = Triple(23, 13, 12, 59)
-        assert scalar_mul(-3, t) == negate(scalar_mul(3, t))
+        assert scalar_mul(-3, t) == -scalar_mul(3, t)
 
     def test_agrees_with_repeated_addition(self):
         t = Triple(974, 359, 16, 615)

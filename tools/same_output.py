@@ -1,4 +1,4 @@
-"""Print six SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print seven SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -20,12 +20,18 @@ form, for every square-free 5 <= m < 3000, for m = 30030, 510510 and
 9699690, whose groups have 2-rank 5 to 7, and for the four.  The same
 sixth digest means the same default coordinates of every form of the
 four, among whose cyclic factors are the composite orders 1275 = 3 * 5^2 *
-17 and 1748 = 2^2 * 19 * 23.  It takes a few seconds.
+17 and 1748 = 2^2 * 19 * 23.  The same seventh digest means the same
+decomposition (as JSON) and the same prime-ideal factorization of t and
+-t for 20 seeded recombinations t of up to 3 split primes <= 200 with
+coefficients in -5..5 (and of the special element, when there is one),
+at m = 7, 15, 23, 35, 614, 974 and every fifth square-free m < 600.  It
+takes about ten seconds.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -34,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from aptgroup.basis import BasisTable  # noqa: E402
 from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
 from aptgroup.cli import main as cli_main  # noqa: E402
+from aptgroup.decompose import decompose, ideal_valuations, recombine  # noqa: E402
 from aptgroup.primes import is_squarefree  # noqa: E402
 from aptgroup.quadfield import Modulus  # noqa: E402
 
@@ -133,6 +140,20 @@ def coord_records():
         yield m, [(f, q.coords(f)) for f in table.forms]
 
 
+def decompose_records():
+    squarefree = [m for m in range(5, 600) if is_squarefree(m)]
+    for m in [7, 15, 23, 35, 614, 974, *squarefree[::5]]:
+        bt = BasisTable(Modulus(m))
+        primes = bt.split_primes(200)
+        rng = random.Random(m)
+        for _ in range(20):
+            vec = {p: rng.randint(-5, 5) for p in rng.sample(primes, rng.randint(1, min(3, len(primes))))}
+            special = rng.randint(-5, 5) if bt.special() is not None else 0
+            t = recombine(bt, vec, special)
+            yield m, decompose(bt, t).to_json_dict()
+            yield sorted(ideal_valuations(bt.mod, t).items()), sorted(ideal_valuations(bt.mod, -t).items())
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -148,6 +169,7 @@ def main():
     print(digest(basis_records()))
     print(digest(order_records()))
     print(digest(coord_records()))
+    print(digest(decompose_records()))
 
 
 if __name__ == "__main__":
