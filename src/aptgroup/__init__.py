@@ -15,6 +15,7 @@ the errors behind the command line's exit codes.
 from .basis import BasisTable, BoundTooLargeError
 from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose, recombine
+from .primes import FactoringBudgetError
 from .quadfield import InvalidModulusError, Modulus
 from .triples import NotASolutionError, Triple
 
@@ -31,6 +32,7 @@ __all__ = [
     "InvalidModulusError",
     "PillarConfigError",
     "BoundTooLargeError",
+    "FactoringBudgetError",
     # exit code 3
     "NotASolutionError",
     # exit code 4

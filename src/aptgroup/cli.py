@@ -3,8 +3,9 @@
 Commands: classgroup, generators, beta, decompose, verify-paper.
 Machine output (--json, and decompose always) is canonical JSON with
 sorted keys; exit codes are 0 success, 1 a failing verify-paper fixture,
-2 invalid modulus or configuration, 3 input not a solution, 4 decomposition
-verification failure.  Every command accepts and ignores --cache-dir.
+2 invalid modulus or configuration, or a third component too hard to
+factor, 3 input not a solution, 4 decomposition verification failure.
+Every command accepts and ignores --cache-dir.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .basis import MAX_BOUND, BasisTable, BoundTooLargeError
 from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose
 from .fixtures import run_fixtures
+from .primes import FactoringBudgetError
 from .quadfield import InvalidModulusError, Modulus
 from .triples import NotASolutionError, normalize, parse_triple
 
@@ -222,7 +224,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (InvalidModulusError, PillarConfigError, BoundTooLargeError) as exc:
+    except (InvalidModulusError, PillarConfigError, BoundTooLargeError, FactoringBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

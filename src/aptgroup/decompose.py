@@ -1,17 +1,19 @@
 """Exact decomposition of triples over the beta basis.
 
-Any primitive triple is an integer combination of basis triples.  The
-coefficients are recovered by descent on the third component: while some
-prime q of it remains, t - beta(q) strictly lowers the power of q when t
-and beta(q) lie over the same prime ideal at q, and t + beta(q) does
-otherwise; one residue mod q^2 tells which, and the sign taken
-contributes the coefficient.
-Composite primes are cleared first (their basis triples re-inject only
-pillar primes and 2), then pillars, then the ideal-wise 2-torsion primes,
-each prime's category read off its cached basis element beta(q);
-for m in {7, 15} a residual power of 2 is cleared by the distinguished
-[q, r, 4] element, whose coefficient is reported separately.  The result
-is verified by exact recombination before it is returned.
+Any primitive triple is an integer combination of basis triples, and its
+coordinates are read off one factorization of its third component c.  At
+a split prime q the triple lies over one of the two prime ideals above
+q, with exponent v_q(c) (v_2(c) - 1 at a split 2, where the element of
+the maximal order is (a + b*sqrt(-m)) / 2), and the signed exponent,
+positive on the side of beta(q), is additive in the group.
+beta(q) has signed exponent 1 at q, a pillar's beta its order h, and no
+basis triple other than beta(q) has q in its third component unless q
+is a pillar.  So each composite and 2-torsion coefficient is the signed
+exponent of t, one residue telling the side, and each pillar coefficient
+is the signed exponent of t less those of the composite terms, divided
+by h.  For m in {7, 15} the coefficient at 2 is that of the distinguished
+[q, r, 4] element, reported separately.  The result is verified by exact
+recombination before it is returned.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
 
 
 class DecompositionError(RuntimeError):
-    """Internal inconsistency: the descent stalled or recombination failed."""
+    """Internal inconsistency: a prime outside L or a failed recombination check."""
 
 
 @dataclass(frozen=True, order=True)
@@ -98,55 +100,64 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
     return out
 
 
-_CATEGORY_RANK = {Category.COMPOSITE: 0, Category.PILLAR: 1, Category.TWO_TORSION: 2}
+def _signed(x: Triple, ref: Triple, q: int, v: int) -> int:
+    """v when x and ref lie over the same prime ideal at q, else -v.
+
+    They do exactly when q^2 divides a_x * b_ref - a_ref * b_x (q alone
+    would do for odd q; q^2 also covers a split 2).
+    """
+    return v if (x.a * ref.b - ref.a * x.b) % (q * q) == 0 else -v
 
 
 def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     """Express t as an integer combination of basis triples, exactly.
 
-    Basis elements are computed on demand.  The returned decomposition has
+    Factors t.c once and reads each coefficient off it, as the module
+    docstring sets out.  Basis elements are computed on demand, a pillar's
+    only when its coefficient is not 0.  The returned decomposition has
     been verified by recombination.
     """
     mod = basis.mod
     if t.m != mod.m:
         raise ValueError("triple does not belong to this basis")
     special = basis.special()
+    fac = factorize(t.c)
+    vals: dict[int, int] = {}  # split prime q -> exponent of the ideal over q that t lies on
     coeffs: dict[int, int] = {}
     special_coeff = 0
-    cur = t
-    q = None  # the last step's prime, whose power must have dropped since
-    while not cur.is_identity():
-        fac = factorize(cur.c)
-        if q is not None and fac.get(q, 0) >= v0:
-            raise DecompositionError(f"descent stalled at prime {q} on {cur}")
-        ranked = []
-        for p in fac:
-            if _legendre(mod, p) != 1:
-                if p == 2:
-                    # a single factor 2 may ride along when -m = 1 (mod 4)
-                    # even though 2 is inert; it vanishes with the odd part
-                    continue
-                raise DecompositionError(
-                    f"prime {p} divides the third component but is outside L"
-                )
-            ranked.append((_CATEGORY_RANK[basis.beta(p).category], p))
-        if not ranked:
-            raise DecompositionError(
-                f"residual third component {cur.c} admits no basis prime"
-            )
-        cat, q = min(ranked)
-        step = basis.beta(q).triple
-        v0 = fac[q]
-        # both lie over the same ideal at q exactly when q^2 divides the
-        # cross term (q alone would do for odd q; q^2 also covers a split 2)
-        if (cur.a * step.b - step.a * cur.b) % (q * q) == 0:
-            cur, sign = add(cur, -step), 1
-        else:
-            cur, sign = add(cur, step), -1
+    composites = []  # (coefficient, basis element) of each composite term
+    for q, e in fac.items():
+        if _legendre(mod, q) != 1:
+            if q == 2:
+                # a single factor 2 may ride along when -m = 1 (mod 4)
+                # even though 2 is inert; it belongs to no prime ideal
+                continue
+            raise DecompositionError(f"prime {q} divides the third component but is outside L")
+        vals[q] = e - (q == 2)
+        el = basis.beta(q)
+        if el.category is Category.PILLAR:
+            continue
+        s = _signed(t, el.triple, q, vals[q])
         if special is not None and q == 2:
-            special_coeff += sign
+            special_coeff = s
         else:
-            coeffs[q] = coeffs.get(q, 0) + sign
+            coeffs[q] = s
+            if el.exps:
+                composites.append((s, el))
+    for pl in basis.pillars:
+        j = pl.index - 1
+        # the exponents at the pillar of t and of the composite terms taken off it
+        parts = [(-s, el.triple, el.exps[j].a) for s, el in composites if el.exps[j].a]
+        if pl.p in vals:
+            parts.append((1, t, vals[pl.p]))
+        if not parts:
+            continue
+        ref = parts[0][1]  # signs are taken on the side of one of them
+        rest = sum(s * _signed(x, ref, pl.p, a) for s, x, a in parts)
+        if not rest:
+            continue
+        # beta(p) has exponent h on its own side; recombination checks the quotient
+        coeffs[pl.p] = _signed(basis.beta(pl.p).triple, ref, pl.p, rest) // pl.order
 
     terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
     result = Decomposition(mod.m, t, terms, special_coeff, verified=False)

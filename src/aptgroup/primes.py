@@ -2,6 +2,8 @@
 
 Everything here is deterministic; Miller-Rabin uses a witness set that is
 proven correct for all n < 3.3 * 10^24, far beyond what this package needs.
+Factoring has a budget: a cofactor that Pollard-Brent rho does not split
+within RHO_BUDGET steps raises FactoringBudgetError.
 """
 
 from __future__ import annotations
@@ -10,6 +12,24 @@ import itertools
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Iterations of x -> x^2 + c that one rho split may take.  Rho needs about
+# the square root of the smallest prime factor: on a 2-vCPU Xeon, at about
+# 0.4 us a step, a product of primes near 10^13 and 3 * 10^13 (27 digits)
+# splits after 6.4 million steps in 2.5 s, while primes near 10^14 and
+# 3 * 10^14 (29 digits) took about 15 s.  The budget lets the first through
+# and stops the second after about 4 s.
+RHO_BUDGET = 1 << 23
+
+
+class FactoringBudgetError(ArithmeticError):
+    """A composite that rho did not split within RHO_BUDGET steps."""
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"factoring budget exceeded: a {n.bit_length()}-bit composite has no factor "
+            f"found within {RHO_BUDGET} Pollard-Brent steps"
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -64,7 +84,8 @@ def factorize(n: int) -> dict[int, int]:
     Trial division removes the primes below 1000; once a trial prime passes
     the square root of what is left, that cofactor is 1 or a prime.
     Otherwise the cofactor is split by Pollard-Brent rho until every part
-    passes Miller-Rabin.
+    passes Miller-Rabin; a split that takes over RHO_BUDGET steps raises
+    FactoringBudgetError.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -97,12 +118,18 @@ def _rho_factor(n: int) -> int:
 
     Pollard's rho with Brent's cycle detection and batched gcds (Brent,
     BIT 20, 1980), on x -> x^2 + c from x = 2; a c whose cycle closes
-    modulo n itself is replaced by the next one.
+    modulo n itself is replaced by the next one.  A round of Brent's walk
+    takes at most 2r steps; FactoringBudgetError is raised instead of a
+    round that could take the steps over all c past RHO_BUDGET.
     """
     batch = 128
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_BUDGET:
+                raise FactoringBudgetError(n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -151,6 +178,8 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 
 __all__ = [
+    "RHO_BUDGET",
+    "FactoringBudgetError",
     "is_prime",
     "primes_up_to",
     "is_squarefree",

@@ -3,10 +3,11 @@ from math import gcd, isqrt
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
-from aptgroup.basis import BasisElement
+from aptgroup.basis import BasisElement, Category
 from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
 from aptgroup.primes import factorize
-from aptgroup.quadfield import PrimeSplitInfo, SplitKind, lift_root
+from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root
+from aptgroup.triples import add
 
 WORKED_M = (23, 35, 974)
 
@@ -101,3 +102,43 @@ def ideal_valuation(mod: Modulus, u: int, v: int, info: PrimeSplitInfo, conj: bo
         w //= p
         j += 1
     return j
+
+
+_CATEGORY_RANK = {Category.COMPOSITE: 0, Category.PILLAR: 1, Category.TWO_TORSION: 2}
+
+
+def descent(basis: BasisTable, t: Triple):
+    """Coordinates of t by descent on its third component, one unit at a time.
+
+    The oracle for decompose, which reads every coefficient off one
+    factorization instead.  While some prime q of the third component is
+    left, t - beta(q) lowers the power of q when t and beta(q) lie over the
+    same prime ideal at q (q^2 divides the cross term), and t + beta(q)
+    does otherwise.  Composite primes go first (their basis triples bring
+    in only pillars and 2), then pillars, then 2-torsion primes; for
+    m in {7, 15} a step at 2 counts for the [q, r, 4] element.  Returns the
+    coefficients, the special coefficient and the steps, as
+    (triple, prime, sign) with the sign the step contributes.
+    """
+    special = basis.special()
+    coeffs: dict[int, int] = {}
+    special_coeff = 0
+    steps = []
+    cur = t
+    while not cur.is_identity():
+        fac = factorize(cur.c)
+        if steps:
+            q = steps[-1][1]
+            assert fac.get(q, 0) < valuation(steps[-1][0].c, q), f"descent stalled at prime {q} on {cur}"
+        # an inert 2 may divide c once when -m = 1 (mod 4); it belongs to no prime ideal
+        ranked = [(_CATEGORY_RANK[basis.beta(p).category], p) for p in fac if p != 2 or kronecker(basis.mod, 2) == 1]
+        _, q = min(ranked)
+        step = basis.beta(q).triple
+        sign = 1 if (cur.a * step.b - step.a * cur.b) % (q * q) == 0 else -1
+        steps.append((cur, q, sign))
+        cur = add(cur, -step if sign == 1 else step)
+        if special is not None and q == 2:
+            special_coeff += sign
+        else:
+            coeffs[q] = coeffs.get(q, 0) + sign
+    return {p: s for p, s in coeffs.items() if s}, special_coeff, steps

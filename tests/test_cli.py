@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import aptgroup
-from aptgroup import cli
+from aptgroup import BasisTable, Modulus, Triple, cli, recombine
 from aptgroup.basis import BoundTooLargeError
 from aptgroup.cli import build_parser, main
 
@@ -269,6 +269,26 @@ class TestDecomposeCommand:
         assert code == 0
         assert out == ('{"input":[906413495341,-71425202196,1000070001221],"m":35,"special":0,'
                        '"terms":[{"coeff":1,"p":1000033},{"coeff":1,"p":1000037}],"verified":true}\n')
+
+    def test_factoring_budget_exit_2(self):
+        # beta(p) + beta(q) over m = 35 for the two largest split primes below
+        # 7 * 10^14: rho would need tens of millions of steps to split its
+        # 30-digit third component, and stops at the budget instead
+        p, q = 699999999999889, 699999999999863
+        t = recombine(BasisTable(Modulus(35)), {p: 1, q: 1})
+        assert t == Triple(35, 347418591370504474490232017767, 58407514773348987000234208704,
+                           489999999999826400000000015207) and t.c == p * q
+        src = str(Path(aptgroup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "aptgroup.cli", "decompose", "-m", "35", f"{t.a},{t.b},{t.c}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: factoring budget exceeded") and "Traceback" not in proc.stderr
+        assert elapsed < 30
 
 
 class TestVerifyPaperCommand:

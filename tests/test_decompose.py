@@ -1,16 +1,18 @@
 import importlib
+import itertools
 import random
 from collections import Counter
 from math import isqrt
 
 import pytest
-from conftest import brute_triples, ideal_valuation, valuation
+from conftest import brute_triples, descent, ideal_valuation, valuation
 
 from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, recombine
+from aptgroup.basis import Category
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
 from aptgroup.triples import add, identity
 from aptgroup.primes import factorize, is_squarefree
-from aptgroup.quadfield import kronecker, splitting_type
+from aptgroup.quadfield import splitting_type
 
 # the package's `decompose` attribute is the function; the tests patch the module
 decompose_module = importlib.import_module("aptgroup.decompose")
@@ -115,29 +117,12 @@ class TestIdealValuations:
 
 
 class TestResidueSign:
-    def test_residue_sign_matches_trial_add(self, monkeypatch):
-        calls = []
-        real_add = decompose_module.add
-
-        def spy(t1, t2):
-            calls.append((t1, t2))
-            return real_add(t1, t2)
-
-        monkeypatch.setattr(decompose_module, "add", spy)
+    def test_residue_sign_matches_trial_add(self):
         steps = Counter()
         for m in ORACLE_M:
             bt = BasisTable(Modulus(m))
             for t in seeded_triples(bt, random.Random(m), 5):
-                calls.clear()
-                assert decompose(bt, t).verified
-                # recombination starts from the identity, which no descent step adds to
-                n = next((i for i, (cur, _) in enumerate(calls) if cur.is_identity()), len(calls))
-                for cur, arg in calls[:n]:
-                    q = next(
-                        q for q in factorize(cur.c)
-                        if (q != 2 or kronecker(bt.mod, 2) == 1) and arg in (bt.beta(q).triple, -bt.beta(q).triple)
-                    )
-                    sign = 1 if arg == -bt.beta(q).triple else -1
+                for cur, q, sign in descent(bt, t)[2]:
                     assert sign == trial_sign(bt, cur, q), (m, cur, q)
                     steps["two" if q == 2 else bt.beta(q).category.name] += 1
         # steps at a split 2 (the special element's, at m = 7 and 15, among them),
@@ -146,13 +131,90 @@ class TestResidueSign:
 
     @pytest.mark.parametrize("wrong", ["no-op", "flipped"])
     def test_wrong_step_raises_instead_of_looping(self, tables, monkeypatch, wrong):
+        # decompose adds only to verify: a broken add must fail that check, not pass a wrong answer
+        triples = (Triple(974, 4141, 66, 4625), recombine(tables[974], {5: 2, 41: -1, 37: 3, 11: -5}))
         real_add = decompose_module.add
         if wrong == "no-op":
             monkeypatch.setattr(decompose_module, "add", lambda t1, t2: t1)
         else:
             monkeypatch.setattr(decompose_module, "add", lambda t1, t2: real_add(t1, -t2))
-        with pytest.raises(DecompositionError, match="descent stalled"):
-            decompose(tables[974], Triple(974, 4141, 66, 4625))
+        for t in triples:
+            with pytest.raises(DecompositionError, match="recombination produced"):
+                decompose(tables[974], t)
+
+
+class TestDescentOracle:
+    def test_matches_descent(self):
+        seen = Counter()
+        for m in ORACLE_M:
+            bt = BasisTable(Modulus(m))
+            for t in seeded_triples(bt, random.Random(m), 5):
+                d = decompose(bt, t)
+                want, special, _ = descent(bt, t)
+                assert (d.coefficients(), d.special_coeff) == (want, special), (m, t)
+                seen["special"] += special != 0
+                seen["split two"] += 2 in want
+                for pl in bt.pillars:
+                    # a pillar whose power the composite terms cancel out of t.c
+                    seen["pillar"] += pl.p in want
+                    seen["cancelled pillar"] += pl.p in want and t.c % pl.p != 0
+        assert min(seen.values()) >= 5 and len(seen) == 4, seen
+
+    def test_one_factorization(self, tables, monkeypatch):
+        # composite and 2-torsion primes of m = 974 (the first 2-torsion ones are
+        # 937 and 983) with coefficients up to 100: a descent of one unit per step
+        # would factor sum(|s|) + 1 = 498 third components
+        bt = tables[974]
+        vec = {3: 100, 11: -97, 37: 64, 193: -3, 937: 1, 983: -100, 2999: 55}
+        cats = [bt.category_of(p) for p in vec]
+        assert cats.count(Category.TWO_TORSION) == 3 and cats.count(Category.COMPOSITE) == 4
+        t = recombine(bt, vec)
+        calls = []
+        real_factorize = decompose_module.factorize
+
+        def spy(n):
+            calls.append(n)
+            return real_factorize(n)
+
+        monkeypatch.setattr(decompose_module, "factorize", spy)
+        d = decompose(bt, t)
+        assert d.coefficients() == vec and d.verified
+        assert calls == [t.c]
+
+    def test_exponent_at_split_two(self):
+        # at a split 2, (a + b sqrt(-m)) / 2 carries the ideal power: the
+        # exponent of s * beta(2) at 2 is |s| (v_2(c) - 1) of beta(2), not |s| v_2(c)
+        checked = 0
+        for m in ORACLE_M:
+            if m % 8 != 7:
+                continue
+            bt = BasisTable(Modulus(m))
+            step = bt.beta(2).triple
+            e = valuation(step.c, 2) - 1
+            for s in range(-12, 13):
+                t = recombine(bt, {2: s})
+                assert valuation(t.c, 2) == (abs(s) * e + 1 if s else 0), (m, s)
+                d = decompose(bt, t)
+                assert (d.coefficients(), d.special_coeff) == (({}, s) if bt.special() else ({2: s} if s else {}, 0))
+                checked += 1
+        assert checked >= 40 * 25
+
+
+class TestFreeness:
+    @pytest.mark.parametrize("m", [7, 15, 23, 35, 974])
+    def test_sign_vectors_are_distinct_and_round_trip(self, m):
+        # a collision among the 3^6 combinations would be a relation between basis triples
+        bt = BasisTable(Modulus(m))
+        primes = bt.split_primes(200)[:6]
+        seen = {}
+        for signs in itertools.product((-1, 0, 1), repeat=6):
+            vec = {p: s for p, s in zip(primes, signs) if s}
+            t = recombine(bt, vec)
+            assert seen.setdefault(t, signs) == signs, (m, t, seen[t], signs)
+            d = decompose(bt, t)
+            special = vec.pop(2, 0) if bt.special() else 0
+            assert (d.coefficients(), d.special_coeff) == (vec, special), (m, signs)
+        assert len(seen) == 3**6
 
 
 class TestDecompose:

@@ -2,8 +2,9 @@ from math import isqrt, prod
 
 import pytest
 
+from aptgroup import primes
 from aptgroup.cli import main
-from aptgroup.primes import factorize, is_prime
+from aptgroup.primes import FactoringBudgetError, factorize, is_prime
 from aptgroup.quadfield import Modulus, kronecker
 
 # (n, factorization) with every prime factor above the trial-division range
@@ -64,6 +65,17 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_budget_stops_rho(self, monkeypatch):
+        # (10^9 + 7)(10^9 + 9) takes about 50,000 rho steps to split
+        n = (10**9 + 7) * (10**9 + 9)
+        monkeypatch.setattr(primes, "RHO_BUDGET", 10**4)
+        with pytest.raises(FactoringBudgetError, match="60-bit composite"):
+            factorize(n)
+        # trial division and primality tests need no rho step
+        assert factorize(2**5 * 997 * (10**9 + 7)) == {2: 5, 997: 1, 10**9 + 7: 1}
+        monkeypatch.setattr(primes, "RHO_BUDGET", 10**6)
+        assert factorize(n) == {10**9 + 7: 1, 10**9 + 9: 1}
 
 
 class TestIsPrime:

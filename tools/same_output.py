@@ -1,4 +1,4 @@
-"""Print seven SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print eight SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -24,8 +24,12 @@ four, among whose cyclic factors are the composite orders 1275 = 3 * 5^2 *
 decomposition (as JSON) and the same prime-ideal factorization of t and
 -t for 20 seeded recombinations t of up to 3 split primes <= 200 with
 coefficients in -5..5 (and of the special element, when there is one),
-at m = 7, 15, 23, 35, 614, 974 and every fifth square-free m < 600.  It
-takes about ten seconds.
+at m = 7, 15, 23, 35, 614, 974 and every fifth square-free m < 600.  The
+same eighth digest means the same decomposition of 20 seeded
+recombinations per modulus with coefficients in -100..100, on every
+pillar, on a split 2 or (for m = 7, 15) the special element, and on up to
+3 split primes <= 200, at m = 7, 15, 23, 35, 974 and 614.  It takes about
+ten seconds.
 """
 
 import contextlib
@@ -154,6 +158,20 @@ def decompose_records():
             yield sorted(ideal_valuations(bt.mod, t).items()), sorted(ideal_valuations(bt.mod, -t).items())
 
 
+def large_coefficient_records():
+    for m in (7, 15, 23, 35, 974, 614):
+        bt = BasisTable(Modulus(m))
+        primes = bt.split_primes(200)
+        # every pillar and a split 2 (for m = 7 and 15, the special element) in every vector
+        always = {pl.p for pl in bt.pillars} | ({2} & set(primes) if bt.special() is None else set())
+        rng = random.Random(m)
+        for _ in range(20):
+            support = sorted(always | set(rng.sample(primes, min(3, len(primes)))))
+            vec = {p: rng.randint(-100, 100) for p in support}
+            special = rng.randint(-100, 100) if bt.special() is not None else 0
+            yield m, decompose(bt, recombine(bt, vec, special)).to_json_dict()
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -170,6 +188,7 @@ def main():
     print(digest(order_records()))
     print(digest(coord_records()))
     print(digest(decompose_records()))
+    print(digest(large_coefficient_records()))
 
 
 if __name__ == "__main__":
