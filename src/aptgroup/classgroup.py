@@ -11,12 +11,12 @@ pair.  Beyond the bare group this module recovers the 2-torsion subgroup
 Cl[2] and the invariant factors.  Cl[2] is read off the shape of the
 forms: it is the ambiguous ones, b = 0, b = a or a = c (Gauss's genus
 theory; Cohen, GTM 138, section 5.6).  Squaring maps Cl onto its subgroup
-of squares Cl^2 with kernel Cl[2], so only the classes of Cl^2 have their
-orders walked; for each prime q the counts #{x in Cl^2 : x^(q^k) = 1} fix
+of squares Cl^2 with kernel Cl[2], so only the classes of Cl^2 are walked,
+each once; for each prime q the counts #{x in Cl^2 : x^(q^k) = 1} fix
 the q-parts of the invariant factors of Cl^2, and those of Cl follow from
 them and the 2-rank.  The quotient Cl/Cl[2] is presented as Cl^2: a direct
 sum in which each cyclic factor is generated by the square of the class of
-a chosen split prime ideal (a "pillar").
+a chosen split prime ideal (a "pillar"), its powers read off the walks.
 """
 
 from __future__ import annotations
@@ -222,24 +222,23 @@ def _cyclic_powers(g: FormClass, ident: FormClass) -> list[FormClass]:
     return powers + [powers[n - k].inverse() for k in range(j + 1, n)]
 
 
-def _element_orders(generators, ident: FormClass, size: int) -> dict[FormClass, int]:
-    """The order of every element of the subgroup of the given size that the generators span.
+def _element_walks(generators, ident: FormClass, size: int) -> dict[FormClass, tuple[list, int]]:
+    """x -> (walk, k) for every x in the subgroup of the given size that the generators span.
 
-    Generators are drawn, lazily, only until all size elements have an
-    order.  The powers g^k of a generator of order n, walked by
-    _cyclic_powers, have order n / gcd(n, k), so a form met as a power of
-    an earlier one is not walked.
+    Each walk is the powers of a generator g, by _cyclic_powers, and
+    x = walk[k] = g^k.  Generators are drawn, lazily, only until all size
+    elements are on a walk, so a form met as a power of an earlier one is
+    not walked.
     """
-    orders = {ident: 1}
-    while len(orders) < size:
+    walks = {ident: ([ident], 0)}
+    while len(walks) < size:
         g = next(generators)
-        if g in orders:
+        if g in walks:
             continue
         powers = _cyclic_powers(g, ident)
-        n = len(powers)
-        for k in range(1, n):
-            orders[powers[k]] = n // gcd(n, k)
-    return orders
+        for k, x in enumerate(powers):
+            walks[x] = (powers, k)
+    return walks
 
 
 def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
@@ -268,17 +267,18 @@ def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
 
 
 class ClassGroupTable:
-    """All reduced forms of one field discriminant, with Cl[2] and the orders of Cl^2.
+    """All reduced forms of one field discriminant, with Cl[2] and the walks of Cl^2.
 
     ``twotorsion`` is the ambiguous forms and ``structure`` holds the
-    invariant factors of Cl, largest first.  The orders are walked on the
-    squares only: the forms are squared in ascending order until every
-    class of Cl^2 has its order, or walked themselves when Cl[2] is
-    trivial and Cl^2 = Cl.  The invariant factors of Cl^2, padded with 1s
-    to the 2-rank r, give those of Cl by doubling the first r.  All is
-    fixed at construction but the memo of quotients, one per pillar
-    choice, that quotient_setup fills lazily: two threads may both build
-    one quotient, and either of the equal results is kept.
+    invariant factors of Cl, largest first.  Only the squares are walked:
+    the forms are squared in ascending order until every class of Cl^2 is
+    on a walk, or walked themselves when Cl[2] is trivial and Cl^2 = Cl.
+    Each class of Cl^2 keeps the walk that reached it and its index there,
+    and order_of and powers read it off.  The invariant factors of Cl^2,
+    padded with 1s to the 2-rank r, give those of Cl by doubling the first
+    r.  All is fixed at construction but the memo of quotients, one per
+    pillar choice, that quotient_setup fills lazily: two threads may both
+    build one quotient, and either of the equal results is kept.
     """
 
     def __init__(self, mod: Modulus):
@@ -293,9 +293,9 @@ class ClassGroupTable:
         drawn = (f for f in self.forms if 0 < f.b < f.a < f.c)
         if len(self.twotorsion) > 1:
             drawn = (compose_forms(f, f) for f in drawn)
-        self._orders = _element_orders(drawn, self.identity, self.h // len(self.twotorsion))
+        self._walks = _element_walks(drawn, self.identity, self.h // len(self.twotorsion))
         rank = len(self.twotorsion).bit_length() - 1
-        factors = list(_invariant_factors(list(self._orders.values())))
+        factors = list(_invariant_factors([self.order_of(x) for x in self._walks]))
         factors += [1] * (rank - len(factors))
         self.structure: tuple[int, ...] = tuple(
             2 * n if i < rank else n for i, n in enumerate(factors)
@@ -303,11 +303,20 @@ class ClassGroupTable:
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
 
     def order_of(self, f: FormClass) -> int:
-        n = self._orders.get(f)
-        if n is None:
+        if f not in self._walks:
             # an element of odd order is a square, so f has even order, twice that of f^2
-            n = 2 * self._orders[compose_forms(f, f)]
-        return n
+            return 2 * self.order_of(compose_forms(f, f))
+        walk, k = self._walks[f]
+        return len(walk) // gcd(len(walk), k)
+
+    def powers(self, x: FormClass) -> list[FormClass]:
+        """[x^0, x^1, ...] up to the order of x in Cl^2, read off the walk through x.
+
+        x = g^k on a walk of g of order n, so x^e = g^(k*e mod n).
+        """
+        walk, k = self._walks[x]
+        n = len(walk)
+        return [walk[k * e % n] for e in range(n // gcd(n, k))]
 
     def in_two_torsion(self, f: FormClass) -> bool:
         return _is_ambiguous(f)
@@ -418,7 +427,7 @@ class QuotientData:
                 raise PillarConfigError(f"pillar prime {p} does not split")
             form = table._class_of(info)
             if powers is None:
-                powers = _cyclic_powers(compose_forms(form, form), ident)
+                powers = table.powers(compose_forms(form, form))
             if len(powers) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
             grown = {
@@ -450,10 +459,8 @@ class QuotientData:
         whose image x = g^s generates it, gcd(s, tau) = 1, which exists by
         Chebotarev density.  Both phases draw the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
-        costs one composition, its image.  Each walk goes through
-        _cyclic_powers once, memoised by form, so a prime-power factor
-        reuses phase one's walk, and the pick's powers x^e = g^(s*e mod tau)
-        are read off the walk of g.
+        costs one composition, its image; every span is read off the
+        table's walks, which costs none.
         """
         ident = self.identity
         slots: list[tuple[int, int]] = []
@@ -462,7 +469,6 @@ class QuotientData:
         slots.sort(key=lambda s: (s[0], -s[1]))
 
         scanned: list[tuple[int, FormClass]] = []  # (p, image of its class)
-        walks: dict[FormClass, list[FormClass]] = {}  # x -> powers of x
         stream = _split_prime_infos(table.mod)
 
         def candidates():
@@ -475,11 +481,6 @@ class QuotientData:
                 yield scanned[i]
                 i += 1
 
-        def walk(x: FormClass) -> list[FormClass]:
-            if x not in walks:
-                walks[x] = _cyclic_powers(x, ident)
-            return walks[x]
-
         # phase one: primary skeleton, the images of each q by descending order
         skeleton: dict[int, list[FormClass]] = {}
         acc_by_q: dict[int, frozenset[FormClass]] = {}
@@ -487,7 +488,7 @@ class QuotientData:
             acc = acc_by_q.get(q, frozenset({ident}))
             for _, image in candidates():
                 if table.order_of(image) == qk:
-                    span = walk(image)
+                    span = table.powers(image)
                     if acc.isdisjoint(span[1:]):
                         skeleton.setdefault(q, []).append(image)
                         acc_by_q[q] = frozenset(_mul(x, y, ident) for x in acc for y in span)
@@ -499,14 +500,12 @@ class QuotientData:
             g = ident
             for q, _ in _prime_power_parts(tau):
                 g = _mul(g, skeleton[q][j], ident)
-            powers_of_g = walk(g)
-            exponent = {x: s for s, x in enumerate(powers_of_g)}
+            target = frozenset(table.powers(g))
             # the targets are distinct subgroups, so no prime is picked twice
             for p, x in candidates():
-                s = exponent.get(x, 0)  # outside the target x counts as the identity
-                if gcd(s, tau) == 1:
+                if x in target and table.order_of(x) == tau:
                     break
-            picks.append((p, [powers_of_g[s * e % tau] for e in range(tau)]))
+            picks.append((p, table.powers(x)))
         return picks
 
     def coords(self, f: FormClass) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .basis import BasisTable, Category
+from .basis import BasisTable
 from .primes import factorize
 from .quadfield import Modulus, SplitKind, _legendre, _split_info
 from .triples import Triple, add, identity, scalar_mul
@@ -126,6 +126,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     coeffs: dict[int, int] = {}
     special_coeff = 0
     composites = []  # (coefficient, basis element) of each composite term
+    pillar_primes = {pl.p for pl in basis.pillars}
     for q, e in fac.items():
         if _legendre(mod, q) != 1:
             if q == 2:
@@ -134,9 +135,9 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
                 continue
             raise DecompositionError(f"prime {q} divides the third component but is outside L")
         vals[q] = e - (q == 2)
-        el = basis.beta(q)
-        if el.category is Category.PILLAR:
+        if q in pillar_primes:
             continue
+        el = basis.beta(q)
         s = _signed(t, el.triple, q, vals[q])
         if special is not None and q == 2:
             special_coeff = s

@@ -30,7 +30,7 @@ __all__ = [
 
 # Largest accepted modulus.  On a 2-vCPU Xeon, `classgroup -m M` near 10^10
 # takes about 0.9-1.3 s from process start (m = 9999999967, h = 45691), and
-# up to 4.0-4.6 s and 109 MB when many small primes split (m = 9996032471,
+# up to 3.3-3.9 s and 100 MB when many small primes split (m = 9996032471,
 # h = 236606): enumeration grows like sqrt(m), the rest like h.
 MAX_MODULUS = 10**10
 

@@ -358,7 +358,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("m", [974, 3000010])
     def test_cyclic_powers_match_plain_walk(self, m):
-        # every form: the identity, order 2 and odd orders among them
+        # every form: the identity, order 2 and odd orders among them; the
+        # table's powers, read off its walks, are the same lists on Cl^2
         table = ClassGroupTable(Modulus(m))
         ident = table.identity
         for f in table.forms:
@@ -366,6 +367,23 @@ class TestEnumerate:
             while (nxt := compose_forms(plain[-1], f)) != ident:
                 plain.append(nxt)
             assert _cyclic_powers(f, ident) == plain, (m, f)
+        for x in {compose_forms(f, f) for f in table.forms}:
+            assert table.powers(x) == _cyclic_powers(x, ident), (m, x)
+
+    def test_powers_of_a_composite_order_group_match_one_plain_walk(self):
+        # Cl = Cl^2 = C1275 = C3 x C25 x C17 at m = 10000019.  Walking every
+        # class took 4.4 s, so one generator g is walked plainly and every
+        # x = g^k checked against x^e = g^(k*e mod 1275)
+        table = ClassGroupTable(Modulus(10000019))
+        ident, n = table.identity, table.h
+        assert table.structure == (n,) == (1275,)
+        g = next(f for f in table.forms if table.order_of(f) == n)
+        plain = [ident]
+        while (nxt := compose_forms(plain[-1], g)) != ident:
+            plain.append(nxt)
+        assert len(plain) == n
+        for k, x in enumerate(plain):
+            assert table.powers(x) == [plain[k * e % n] for e in range(n // gcd(n, k))], k
 
     @pytest.mark.parametrize(
         # walking the powers of every class took 1830, 748, 3685 and 1274 compositions
@@ -638,14 +656,14 @@ class TestQuotient:
         monkeypatch.setattr(classgroup, "_split_prime_infos", counting_stream)
         return quotient_setup(table), counts["compose"], counts["scanned"]
 
-    @pytest.mark.parametrize("m,size", [(2000002, 125), (614, 17)])
+    @pytest.mark.parametrize("m,size", [(2000002, 125), (614, 17), (100000007, 7253)])
     def test_compositions_at_most_two_per_class_and_one_per_scanned_prime(self, monkeypatch, m, size):
         q, compose, scanned = self.counted_quotient(monkeypatch, m)
         assert q.size == size and q.invariant_factors == (size,)
         assert 0 < compose <= 2 * size + scanned
         # a cyclic quotient of odd prime-power order: one image per scanned
-        # prime, then the pillar image's half walk, whose powers are reused
-        assert compose == scanned + size // 2
+        # prime, and the pillar image's powers are read off the table's walk
+        assert compose == scanned
 
     def test_composite_cyclic_factor_is_walked_once(self, monkeypatch):
         # C1275 = C3 x C25 x C17: its generator is walked once, and the

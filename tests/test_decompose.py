@@ -255,6 +255,28 @@ class TestDecompose:
         assert dict(d3.terms) == {2: -3, 3: -1}
         assert recombine(tables23[3], d3) == t
 
+    @pytest.mark.parametrize(
+        "m,t,want",
+        [
+            # c = 3 * 5 * 41: the pillars 5 and 41 divide c, yet both coefficients are 0
+            (974, Triple(974, 359, 16, 615), [3]),
+            # c = 2 * 3 * 5 * 166667; the pillar 3, of order 1275, gets coefficient 0
+            (10000019, Triple(10000019, 5000009, 1, 5000010), [5, 166667]),
+        ],
+    )
+    def test_pillar_beta_built_only_for_a_nonzero_coefficient(self, m, t, want):
+        bt = BasisTable(Modulus(m))
+        built = []
+        compute = bt._compute_beta
+
+        def spy(info):
+            built.append(info.p)
+            return compute(info)
+
+        bt._compute_beta = spy
+        d = decompose(bt, t)
+        assert d.verified and sorted(built) == want == [p for p, _ in d.terms]
+
     def test_json_shape(self, tables):
         d = decompose(tables[974], Triple(974, 4141, 66, 4625))
         doc = d.to_json_dict()
@@ -319,6 +341,46 @@ class TestRoundTrips:
         assert t == Triple(35, 906413495341, -71425202196, 1000070001221)
         d = decompose(bt, t)
         assert dict(d.terms) == {1000033: 1, 1000037: 1} and d.verified
+
+
+class TestLargeClassNumber:
+    """Round trips at m = 10^8 + 7: h = 7253, one pillar, 2, of order 7253."""
+
+    M = 100000007
+
+    @pytest.fixture(scope="class")
+    def bt(self):
+        return BasisTable(Modulus(self.M))
+
+    def test_structure(self, bt):
+        assert bt.table.h == 7253 and [(pl.p, pl.order) for pl in bt.pillars] == [(2, 7253)]
+        assert [bt.category_of(p) for p in (3, 11, 13)] == [Category.COMPOSITE] * 3
+
+    @pytest.mark.parametrize(
+        # coefficients up to 20 on the composites, chosen so that their pillar
+        # exponents mostly cancel and c stays below 17,000 bits
+        "vec",
+        [
+            {2: 1},
+            {2: -1},
+            {2: 1, 3: -20, 13: 20},
+            {2: -1, 3: -5, 11: 4, 13: -3},
+            {2: 1, 3: 20, 11: 20, 13: 20},
+            {2: -1, 3: 20, 11: 20, 13: 10},
+            {3: -10, 11: -20, 13: -20},
+        ],
+    )
+    def test_round_trip(self, bt, vec):
+        t = recombine(bt, vec)
+        d = decompose(bt, t)
+        assert d.coefficients() == vec and d.special_coeff == 0 and d.verified
+
+    def test_half_triple(self, bt):
+        m = self.M
+        t = Triple(m, (m - 1) // 2, 1, (m + 1) // 2)
+        d = decompose(bt, t)
+        assert d.terms == ((2, 1), (3, 4), (154321, -1)) and d.verified
+        assert recombine(bt, d.coefficients()) == t
 
 
 class TestBruteForceTriples:
