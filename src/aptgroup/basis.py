@@ -16,8 +16,10 @@ triple, built from a prime-ideal product whose class is 2-torsion:
     pillar order) the one with the smallest first component wins.
 
 Each triple comes from the generator of a squared ideal, found by
-Cornacchia's algorithm (two_torsion_triple): one Euclid run per
-admissible pattern.  A table computes each beta(p) once, from one record
+Cornacchia's algorithm (two_torsion_triple): the squared ideal is the
+Gauss composition of the forms of its prime-power factors
+(classgroup.prime_form and united), and Cornacchia takes one Euclid run
+per admissible pattern.  A table computes each beta(p) once, from one record
 of the splitting data of p: BasisTable.beta proves p prime, while
 elements takes its primes from the sieve and proves none.
 The image of beta, together with the distinguished [q, r, 4] element for
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .classgroup import ClassGroupTable, Pillar, QuotientData, quotient_setup
-from .primes import crt, primes_up_to
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, lift_root, splitting_type
+from .classgroup import ClassGroupTable, Pillar, QuotientData, prime_form, quotient_setup, united
+from .primes import primes_up_to
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, splitting_type
 from .quadfield import _legendre, _split_info
 from .triples import Triple, normalize
 
@@ -136,20 +138,21 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
 
     factors lists (split info, exponent[, conjugate]) pairs; the product I
     of norm n must have class of order at most 2, so that I^2 is principal
-    with a generator z of norm n^2.  I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)>
-    with N = n^2 and r a square root of -m modulo 4N / 2^(2 delta), built by
-    CRT from the Newton-lifted roots of the factors; Cornacchia's algorithm
-    on (N, r), or on (2N, r) for 4N when delta = 0 (Cohen, GTM 138,
-    Alg. 1.5.2 and 1.5.3), finds z or shows that I^2 is not principal.
-    Conjugating every factor gives the same triple.  A ramified factor
-    squares to a rational principal ideal and drops out projectively; 2 may
-    appear only inert or split.
+    with a generator z of norm n^2.  The factors' forms prime_form(p, 2e),
+    b negated for a conjugate factor, compose (unreduced, by united) to the
+    form (N, B, C) of the conjugate of I^2, N = n^2; so I^2 = <N, (r +
+    sqrt(-m)) / 2^(1-delta)> with r = B / 2^delta a square root of -m
+    modulo 4N / 2^(2 delta).  Cornacchia's algorithm on (N, r), or on
+    (2N, r) for 4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and 1.5.3),
+    finds z or shows that I^2 is not principal.  Conjugating every factor
+    gives the same triple.  A ramified factor squares to a rational
+    principal ideal and drops out projectively; 2 may appear only inert or
+    split, and each prime in one factor at most.
     """
     factors = list(factors)
     if any(f[1] < 0 for f in factors):
         raise ValueError("ideal exponents must be non-negative")
-    n = 1
-    r, modulus = (0, 1) if mod.delta else (1, 2)  # r is odd when delta = 0
+    n, form, seen = 1, None, set()
     for info, e, *conj in factors:
         p = info.p
         if not e:
@@ -161,17 +164,19 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
         if info.kind is not SplitKind.SPLIT:
             # inert <2> and ramified ideals square to rational ideals
             continue
+        if p in seen:
+            raise ValueError("each prime may appear in only one factor")
+        seen.add(p)
         n *= p**e
-        # above 2 the root = 1 (mod 4), as in <2, (1 + sqrt(-m))/2>, needs one more power
-        k = 2 * e + (p == 2)
-        root = lift_root(mod, p, info.root, k)
-        r, modulus = crt(r, modulus, -root if any(conj) else root, p**k)
+        a, b, c = prime_form(mod, info, 2 * e)
+        f = (a, -b, c) if any(conj) else (a, b, c)
+        form = f if form is None else united(form, f)
     if n == 1:
         return Triple(mod.m, 1, 0, 1)
-    if modulus != n * n << (1 - mod.delta):
-        raise ValueError("each prime may appear in only one factor")
+    modulus = form[0] << (1 - mod.delta)
+    r = (form[1] >> mod.delta) % modulus
     # Cornacchia: Euclid on (modulus, r) down to the square root of the norm
-    norm = n * n << 2 * (1 - mod.delta)
+    norm = modulus << (1 - mod.delta)
     a, b, limit = modulus, r, isqrt(norm)
     while b > limit:
         a, b = b, a % b

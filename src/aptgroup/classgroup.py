@@ -2,7 +2,9 @@
 
 Classes are represented by reduced primitive positive definite forms
 A*x^2 + B*x*y + C*y^2 of the field discriminant, composed by Gauss
-composition (Cohen, GTM 138, Alg. 5.4.7).  The forms are enumerated by
+composition (Cohen, GTM 138, Alg. 5.4.7).  prime_form alone writes a
+prime ideal or its power as a form; basis composes those forms, unreduced
+by united, into the squared ideal of each beta.  The forms are enumerated by
 middle coefficient: for each b, the leading coefficients a are read off the
 divisors of (b^2 - disc)/4, and all those values are factored together by
 one sieve over the primes at which disc is a square, so enumeration costs
@@ -25,8 +27,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .primes import factorize, is_prime, primes_up_to, xgcd
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, _split_info, splitting_type, sqrt_mod
+from .primes import factorize, is_prime, primes_up_to
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, _split_info, lift_root, splitting_type, sqrt_mod
 
 __all__ = [
     "DiscriminantMismatchError",
@@ -34,7 +36,9 @@ __all__ = [
     "FormClass",
     "reduce_form",
     "principal_form",
+    "united",
     "compose_forms",
+    "prime_form",
     "ClassGroupTable",
     "Pillar",
     "QuotientData",
@@ -117,34 +121,57 @@ def principal_form(disc: int) -> FormClass:
     return FormClass(1, 1, (1 - disc) // 4)
 
 
-def compose_forms(f: FormClass, g: FormClass) -> FormClass:
-    """Gauss composition of two forms of one discriminant, reduced.
+def united(f, g) -> tuple[int, int, int]:
+    """The united form of two forms of one discriminant, unreduced.
 
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7:
-    the united form (a3, b3, c3) with a3 = a1 * a2 / d1^2 is read off two
-    extended gcds, d = gcd(a1, a2) and d1 = gcd(d, (b1 + b2) / 2).
+    Gauss composition, Cohen, GTM 138, Alg. 5.4.7: the form (a3, b3, c3)
+    with a3 = a1 * a2 / d1^2 for d = gcd(a1, a2) and d1 = gcd(d, s),
+    s = (b1 + b2) / 2.  Any Bezout coefficients give a form of the product
+    class, which reduction makes canonical, so they are read off modular
+    inverses: y1, that of a2, is (a2/d)^-1 mod a1/d, and x2, that of s, is
+    (s/d1)^-1 mod d/d1.
     """
     a1, b1, c1 = f
     a2, b2, c2 = g
-    disc = b1 * b1 - 4 * a1 * c1
-    if b2 * b2 - 4 * a2 * c2 != disc:
-        raise DiscriminantMismatchError(f"cannot compose discriminants {disc} and {g.disc}")
+    disc, disc2 = b1 * b1 - 4 * a1 * c1, b2 * b2 - 4 * a2 * c2
+    if disc2 != disc:
+        raise DiscriminantMismatchError(f"cannot compose discriminants {disc} and {disc2}")
     if a1 > a2:
         (a1, b1, c1), (a2, b2, c2) = g, f
     s = (b1 + b2) // 2
     n = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, y1, _ = xgcd(a2, a1)
-    if s % d == 0:
-        x2, y2, d1 = 0, -1, d
-    else:
-        d1, x2, v = xgcd(s, d)
-        y2 = -v
+    d = gcd(a1, a2)
+    y1 = pow(a2 // d, -1, a1 // d)
+    d1 = gcd(s, d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
     v1, v2 = a1 // d1, a2 // d1
     r = (y1 * y2 * n - x2 * c2) % v1
-    return reduce_form(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1, disc)
+    return v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1
+
+
+def compose_forms(f: FormClass, g: FormClass) -> FormClass:
+    """Gauss composition of two forms of one discriminant, reduced."""
+    return reduce_form(*united(f, g))
+
+
+def prime_form(mod: Modulus, info: PrimeSplitInfo, k: int = 1) -> tuple[int, int, int]:
+    """The unreduced form (p^k, b, c) of the k-th power of the conjugate of the chosen ideal over p.
+
+    The form (a, b, c) stands for the ideal [a, (-b + sqrt(disc))/2]
+    (Cohen, GTM 138, section 5.2), so b = r (mod p^k) for a square root r
+    of -m above info.root: b = 2r when disc = -4m, and b odd with b = r
+    (mod p^k) when disc = -m; a split 2 has r = 1 (mod 4) and, as 4a must
+    divide b^2 - disc, one more power.  For k > 1 the root is lifted by
+    lift_root.  Split or ramified p; a ramified p takes k = 1.
+    """
+    p = info.p
+    a = p**k
+    r = info.root if k == 1 else lift_root(mod, p, info.root, k + (p == 2))
+    b = 2 * r if mod.delta else r if r % 2 else r + a
+    n = b * b - mod.disc
+    # over 2, c is a shift; a long division by 2^(k+2) would take time quadratic in k
+    return a, b, n >> (k + 2) if p == 2 else n // (4 * a)
 
 
 def _enumerate_reduced(disc: int) -> list[FormClass]:
@@ -336,20 +363,7 @@ class ClassGroupTable:
         """class_of_prime of info.p, from its splitting data."""
         if info.kind is SplitKind.INERT:
             return self.identity
-        p = info.p
-        if p == 2:
-            b = 1 if self.disc % 2 else 2 * info.root
-            return reduce_form(2, b, (b * b - self.disc) // 8, self.disc)
-        r = info.root
-        if self.disc % 2 == 0:
-            b = 2 * r
-        else:
-            b = r if r % 2 == 1 else r - p
-        while b > p:
-            b -= 2 * p
-        while b <= -p:
-            b += 2 * p
-        return reduce_form(p, b, (b * b - self.disc) // (4 * p), self.disc)
+        return reduce_form(*prime_form(self.mod, info))
 
 
 @dataclass(frozen=True)

@@ -90,18 +90,17 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    if n & 1 == 0:
+        out[2] = (n & -n).bit_length() - 1
+        n >>= out[2]
+    for p in _TRIAL_PRIMES[1:]:  # 2 is out already
         if p * p > n:
             # no factor below p is left, so n is 1 or a prime above every key
             if n > 1:
                 out[n] = 1
             return out
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
+            n, out[p] = _divide_out(n, p)
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()
@@ -111,6 +110,26 @@ def factorize(n: int) -> dict[int, int]:
             f = _rho_factor(n)
             stack += [f, n // f]
     return dict(sorted(out.items()))
+
+
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) for the largest e with p^e | n.
+
+    n is divided by p, p^2, p^4, ... while it can be, and then by the
+    same powers from the largest down, each once if it divides: that is
+    O(log e) divisions, where one division at a time would take e.
+    """
+    powers, e, q = [], 0, p
+    while n % q == 0:
+        n //= q
+        e += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            e += 1 << i
+    return n, e
 
 
 def _rho_factor(n: int) -> int:
@@ -152,31 +171,6 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); return (x, lcm(m1, m2)).
-
-    Raises ValueError when the congruences are incompatible.
-    """
-    g, s, _ = xgcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError("incompatible congruences")
-    l = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % l
-    return x, l
-
-
 __all__ = [
     "RHO_BUDGET",
     "FactoringBudgetError",
@@ -184,6 +178,4 @@ __all__ = [
     "primes_up_to",
     "is_squarefree",
     "factorize",
-    "xgcd",
-    "crt",
 ]

@@ -5,7 +5,8 @@ the maximal order are (u + v*sqrt(-m)) / 2^(1-delta) where delta = 0
 exactly when -m = 1 (mod 4).  This module provides the field constants,
 the Kronecker symbol of -m, the splitting data of rational primes with a
 canonical square root convention, and Newton lifts of those roots to
-prime powers.
+prime powers, from which classgroup.prime_form writes the powers of a
+prime ideal as forms.
 """
 
 from __future__ import annotations

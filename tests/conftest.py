@@ -3,11 +3,11 @@ from math import gcd, isqrt
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
-from aptgroup.basis import BasisElement, Category
+from aptgroup.basis import BasisElement, Category, NotTwoTorsionError
 from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
 from aptgroup.primes import factorize
 from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root
-from aptgroup.triples import add
+from aptgroup.triples import add, normalize
 
 WORKED_M = (23, 35, 974)
 
@@ -40,6 +40,76 @@ def brute_triples(m: int, cmax: int) -> list[Triple]:
                 out.append(Triple(m, u, v, c))
             v += 1
     return out
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0, by the extended Euclidean algorithm."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    """Solve x = r1 (mod m1), x = r2 (mod m2); return (x, lcm(m1, m2)).
+
+    Raises ValueError when the congruences are incompatible.
+    """
+    g, s, _ = xgcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        raise ValueError("incompatible congruences")
+    l = m1 // g * m2
+    x = (r1 + (r2 - r1) // g * s % (m2 // g) * m1) % l
+    return x, l
+
+
+def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
+    """two_torsion_triple with the square root of -m modulo N glued by CRT.
+
+    The oracle for basis.two_torsion_triple, which composes the factors'
+    forms instead.  I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)> with N = n^2 and
+    r a square root of -m modulo 4N / 2^(2 delta), built by CRT from the
+    Newton-lifted roots of the factors; Cornacchia's algorithm on (N, r),
+    or on (2N, r) for 4N when delta = 0, finds the generator or raises
+    NotTwoTorsionError.  Raises ValueError on the same inputs.
+    """
+    factors = list(factors)
+    if any(f[1] < 0 for f in factors):
+        raise ValueError("ideal exponents must be non-negative")
+    n = 1
+    r, modulus = (0, 1) if mod.delta else (1, 2)  # r is odd when delta = 0
+    for info, e, *conj in factors:
+        p = info.p
+        if not e:
+            continue
+        if info.kind is SplitKind.INERT and p != 2:
+            raise ValueError(f"odd inert prime {p} has no degree-one ideal")
+        if info.kind is SplitKind.RAMIFIED and p == 2:
+            raise ValueError("a factor above 2 requires 2 inert or split")
+        if info.kind is not SplitKind.SPLIT:
+            continue
+        n *= p**e
+        # above 2 the root = 1 (mod 4), as in <2, (1 + sqrt(-m))/2>, needs one more power
+        k = 2 * e + (p == 2)
+        root = lift_root(mod, p, info.root, k)
+        r, modulus = crt(r, modulus, -root if any(conj) else root, p**k)
+    if n == 1:
+        return Triple(mod.m, 1, 0, 1)
+    if modulus != n * n << (1 - mod.delta):
+        raise ValueError("each prime may appear in only one factor")
+    norm = n * n << 2 * (1 - mod.delta)
+    a, b, limit = modulus, r, isqrt(norm)
+    while b > limit:
+        a, b = b, a % b
+    y2, rest = divmod(norm - b * b, mod.m)
+    y = isqrt(y2)
+    if rest or y * y != y2 or ((b - r * y) % modulus and (b + r * y) % modulus):
+        raise NotTwoTorsionError("ideal product has no generator of the required norm")
+    return normalize(mod, b, y, n << (1 - mod.delta))
 
 
 def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:

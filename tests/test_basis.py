@@ -2,7 +2,7 @@ import itertools
 from math import gcd, prod
 
 import pytest
-from conftest import form_power, ideal_valuation, third_shape
+from conftest import crt_two_torsion_triple, form_power, ideal_valuation, third_shape
 
 from aptgroup.basis import (
     BasisElement,
@@ -438,6 +438,35 @@ class TestAgainstScan:
                         assert [two_torsion_triple(mod, factors)] == scan_two_torsion_triples(mod, factors)
                     shapes.add(len(moved))
         assert shapes == {1, 2}
+
+
+def _outcome(route, mod, factors):
+    """The triple, or the class of the ValueError raised."""
+    try:
+        return route(mod, factors)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_two_torsion_triple_matches_crt_route():
+    # every list of one split p <= 60 (exponent 1-3, either flag) and up to
+    # two pillar factors (exponent 1-3, either flag), p a pillar included:
+    # composing the prime forms gives the triple, or the error, that gluing
+    # the lifted roots by CRT gives
+    outcomes = set()
+    for m in SWEEP + [974]:
+        mod = Modulus(m)
+        bt = BasisTable(mod)
+        options = [[(pl.info, a, conj) for a in (1, 2, 3) for conj in (False, True)] for pl in bt.pillars]
+        tails = [t for k in range(3) for opts in itertools.combinations(options, k) for t in itertools.product(*opts)]
+        for p in bt.split_primes(60):
+            info = splitting_type(mod, p)
+            for e, conj, tail in itertools.product((1, 2, 3), (False, True), tails):
+                factors = [(info, e, conj), *tail]
+                got = _outcome(two_torsion_triple, mod, factors)
+                assert got == _outcome(crt_two_torsion_triple, mod, factors), (m, factors)
+                outcomes.add(got if isinstance(got, type) else Triple)
+    assert outcomes == {Triple, NotTwoTorsionError, ValueError}
 
 
 def _norm(bt, el):

@@ -5,7 +5,7 @@ import weakref
 from math import gcd, isqrt, lcm
 
 import pytest
-from conftest import form_power
+from conftest import crt, form_power, xgcd
 
 from aptgroup import classgroup
 from aptgroup.basis import BasisTable
@@ -19,11 +19,12 @@ from aptgroup.classgroup import (
     _invariant_factors,
     _prime_power_parts,
     compose_forms,
+    prime_form,
     principal_form,
     quotient_setup,
     reduce_form,
 )
-from aptgroup.primes import crt, is_squarefree, primes_up_to, xgcd
+from aptgroup.primes import is_squarefree, primes_up_to
 from aptgroup.quadfield import Modulus, kronecker, splitting_type
 
 
@@ -524,6 +525,20 @@ class TestClassOfPrime:
                 b += 2 * p
             conj = reduce_form(p, b, (b * b - mod.disc) // (4 * p))
             assert compose_forms(f, conj) == table.identity
+
+    @pytest.mark.parametrize("m,p", [(7, 2), (100000007, 2), (23, 3), (35, 17), (974, 5), (974, 3)])
+    def test_prime_form_is_the_kth_power(self, m, p):
+        # a split 2, odd p at disc = -m and odd p at disc = -4m
+        mod = Modulus(m)
+        table = ClassGroupTable(mod)
+        info = splitting_type(mod, p)
+        f = table.class_of_prime(p)
+        power = table.identity
+        for k in range(1, 41):
+            power = compose_forms(power, f)
+            a, b, c = prime_form(mod, info, k)
+            assert a == p**k and b * b - 4 * a * c == mod.disc, k
+            assert reduce_form(a, b, c) == power, k
 
     def test_membership_in_E_is_conjugation_invariant(self):
         # the 2-torsion test cannot depend on the choice of lifting

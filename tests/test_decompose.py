@@ -357,8 +357,9 @@ class TestLargeClassNumber:
         assert [bt.category_of(p) for p in (3, 11, 13)] == [Category.COMPOSITE] * 3
 
     @pytest.mark.parametrize(
-        # coefficients up to 20 on the composites, chosen so that their pillar
-        # exponents mostly cancel and c stays below 17,000 bits
+        # coefficients up to 20 on the composites; in the last two their pillar
+        # exponents add up, and c (96,206 and 123,540 bits) is nearly all a
+        # power of 2, which factorize takes out in one shift
         "vec",
         [
             {2: 1},
@@ -368,6 +369,8 @@ class TestLargeClassNumber:
             {2: 1, 3: 20, 11: 20, 13: 20},
             {2: -1, 3: 20, 11: 20, 13: 10},
             {3: -10, 11: -20, 13: -20},
+            {3: 20, 11: -20, 13: 7},
+            {2: 1, 3: -13, 11: 20, 13: -20},
         ],
     )
     def test_round_trip(self, bt, vec):

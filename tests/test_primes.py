@@ -1,3 +1,4 @@
+import random
 from math import isqrt, prod
 
 import pytest
@@ -61,6 +62,18 @@ class TestFactorize:
         got = factorize(n)
         assert prod(p**e for p, e in got.items()) == n
         assert all(is_prime(p) for p in got) and list(got) == sorted(got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_prime_powers_match_sympy(self, seed):
+        # valuations up to 20,000 of primes in the trial range, each divided
+        # out by repeated squaring, not one factor at a time
+        factorint = pytest.importorskip("sympy").factorint
+        rng = random.Random(seed)
+        for _ in range(10):
+            ps = rng.sample([2, 3, 5, 7, 11, 13, 31, 97, 991, 997], rng.randint(1, 4))
+            n = prod(p ** rng.choice([1, 2, 3, 255, 256, 257, rng.randint(1, 20000)]) for p in ps)
+            n *= rng.randint(1, 10**6)
+            assert factorize(n) == factorint(n), n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

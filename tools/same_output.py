@@ -1,4 +1,4 @@
-"""Print eight SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print nine SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -28,25 +28,30 @@ at m = 7, 15, 23, 35, 614, 974 and every fifth square-free m < 600.  The
 same eighth digest means the same decomposition of 20 seeded
 recombinations per modulus with coefficients in -100..100, on every
 pillar, on a split 2 or (for m = 7, 15) the special element, and on up to
-3 split primes <= 200, at m = 7, 15, 23, 35, 974 and 614.  It takes about
-ten seconds.
+3 split primes <= 200, at m = 7, 15, 23, 35, 974 and 614.  The same ninth
+digest means the same outcome of two_torsion_triple, the triple or the
+class of the error, on 70,164 factor lists: at every square-free m < 400
+and at m = 974, one split p <= 60 with exponent 1 to 3 and either
+conjugate flag, and up to two pillar factors with exponent 1 to 3 and
+either flag.  It takes about ten seconds.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from aptgroup.basis import BasisTable  # noqa: E402
+from aptgroup.basis import BasisTable, two_torsion_triple  # noqa: E402
 from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
 from aptgroup.cli import main as cli_main  # noqa: E402
 from aptgroup.decompose import decompose, ideal_valuations, recombine  # noqa: E402
 from aptgroup.primes import is_squarefree  # noqa: E402
-from aptgroup.quadfield import Modulus  # noqa: E402
+from aptgroup.quadfield import Modulus, splitting_type  # noqa: E402
 
 OVERRIDES = [
     (23, (2,)),
@@ -172,6 +177,22 @@ def large_coefficient_records():
             yield m, decompose(bt, recombine(bt, vec, special)).to_json_dict()
 
 
+def two_torsion_records():
+    for m in [*(m for m in range(5, 400) if is_squarefree(m)), 974]:
+        mod = Modulus(m)
+        bt = BasisTable(mod)
+        options = [[(pl.info, a, conj) for a in (1, 2, 3) for conj in (False, True)] for pl in bt.pillars]
+        tails = [t for k in range(3) for opts in itertools.combinations(options, k) for t in itertools.product(*opts)]
+        for p in bt.split_primes(60):
+            info = splitting_type(mod, p)
+            for e, conj, tail in itertools.product((1, 2, 3), (False, True), tails):
+                factors = [(info, e, conj), *tail]
+                try:
+                    yield factors, two_torsion_triple(mod, factors)
+                except ValueError as exc:
+                    yield factors, type(exc).__name__
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -189,6 +210,7 @@ def main():
     print(digest(coord_records()))
     print(digest(decompose_records()))
     print(digest(large_coefficient_records()))
+    print(digest(two_torsion_records()))
 
 
 if __name__ == "__main__":
