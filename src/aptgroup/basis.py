@@ -21,7 +21,8 @@ Gauss composition of the forms of its prime-power factors
 (classgroup.prime_form and united), and Cornacchia takes one Euclid run
 per admissible pattern.  A table computes each beta(p) once, from one record
 of the splitting data of p: BasisTable.beta proves p prime, while
-elements takes its primes from the sieve and proves none.
+elements and decompose, whose primes come from the sieve or from
+factorize, proved already, prove none.
 The image of beta, together with the distinguished [q, r, 4] element for
 m in {7, 15}, generates the triple group freely.
 """
@@ -256,6 +257,10 @@ class BasisTable:
         """beta(p), computed once; raises ValueError unless p is a split prime."""
         return self._beta.get(p) or self._compute_beta(splitting_type(self.mod, p))
 
+    def _proven_beta(self, p: int) -> BasisElement:
+        """beta(p) for a p already proved prime, which is not proved again."""
+        return self._beta.get(p) or self._compute_beta(_split_info(self.mod, p))
+
     def _compute_beta(self, info: PrimeSplitInfo) -> BasisElement:
         """beta(p) from the splitting data of p, stored in the memo.
 
@@ -301,6 +306,5 @@ class BasisTable:
         ps = self.split_primes(bound)
         if self.special() is not None and 2 not in ps:
             ps = [2, *ps]
-        # sieved primes: their splitting data needs no primality proof
-        return [self._beta.get(p) or self._compute_beta(_split_info(self.mod, p)) for p in ps]
+        return [self._proven_beta(p) for p in ps]
 

@@ -24,7 +24,7 @@ from typing import Mapping
 from .basis import BasisTable
 from .primes import factorize
 from .quadfield import Modulus, SplitKind, _legendre, _split_info
-from .triples import Triple, add, identity, scalar_mul
+from .triples import Triple, mul, normalize, power
 
 __all__ = [
     "DecompositionError",
@@ -114,7 +114,8 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
 
     Factors t.c once and reads each coefficient off it, as the module
     docstring sets out.  Basis elements are computed on demand, a pillar's
-    only when its coefficient is not 0.  The returned decomposition has
+    only when its coefficient is not 0, and factorize's primes are not
+    proved prime again.  The returned decomposition has
     been verified by recombination.
     """
     mod = basis.mod
@@ -137,7 +138,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         vals[q] = e - (q == 2)
         if q in pillar_primes:
             continue
-        el = basis.beta(q)
+        el = basis._proven_beta(q)
         s = _signed(t, el.triple, q, vals[q])
         if special is not None and q == 2:
             special_coeff = s
@@ -158,7 +159,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         if not rest:
             continue
         # beta(p) has exponent h on its own side; recombination checks the quotient
-        coeffs[pl.p] = _signed(basis.beta(pl.p).triple, ref, pl.p, rest) // pl.order
+        coeffs[pl.p] = _signed(basis._proven_beta(pl.p).triple, ref, pl.p, rest) // pl.order
 
     terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
     result = Decomposition(mod.m, t, terms, special_coeff, verified=False)
@@ -173,19 +174,26 @@ def recombine(
     terms: Decomposition | Mapping[int, int],
     special_coeff: int = 0,
 ) -> Triple:
-    """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group."""
+    """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group.
+
+    The sum is one product of powers in Z[sqrt(-m)], normalized once; its
+    content holds, besides powers of 2, the pillar primes at which terms
+    on opposite sides cancel.
+    """
     if isinstance(terms, Decomposition):
         special_coeff = terms.special_coeff
         items = terms.terms
     else:
         items = sorted(terms.items())
-    acc = identity(basis.mod)
+    m = basis.mod.m
+    acc = (1, 0, 1)
     for p, s in items:
         if s:
-            acc = add(acc, scalar_mul(s, basis.beta(p).triple))
+            t = basis.beta(p).triple
+            acc = mul(m, acc, power(m, (t.a, t.b, t.c), s))
     if special_coeff:
         sp = basis.special()
         if sp is None:
             raise ValueError("no [q, r, 4] element exists for this modulus")
-        acc = add(acc, scalar_mul(special_coeff, sp))
-    return acc
+        acc = mul(m, acc, power(m, (sp.a, sp.b, sp.c), special_coeff))
+    return normalize(m, *acc)

@@ -5,6 +5,10 @@ a unique primitive representative with c > 0 and a > 0, which is what the
 Triple type stores.  The group law is induced by complex multiplication of
 a + b*sqrt(-m); the identity is [1, 0, 1] and the inverse of [a, b, c] is
 [a, -b, c].  For square-free m > 3 the group is torsion free.
+
+The arithmetic runs on bare elements (a, b, c) of Z[sqrt(-m)], with
+their third components, by mul and power: a sum of many terms is one
+product, reduced to its primitive representative once by normalize.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
     "parse_triple",
     "add",
     "scalar_mul",
+    "mul",
+    "power",
 ]
 
 
@@ -112,29 +118,51 @@ def parse_triple(mod: Modulus | int, text: str) -> Triple:
     return normalize(mod, a, b, c)
 
 
+Element = tuple[int, int, int]
+
+
+def mul(m: int, x: Element, y: Element) -> Element:
+    """(a1a2 - m b1b2, a1b2 + a2b1, c1c2), less the power of 2 common to all three.
+
+    The product of a1 + b1*sqrt(-m) and a2 + b2*sqrt(-m), with the third
+    components multiplied alongside; the result solves the equation when
+    both factors do.
+    """
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    a, b, c = a1 * a2 - m * b1 * b2, a1 * b2 + a2 * b1, c1 * c2
+    low = a | b | c
+    k = (low & -low).bit_length() - 1
+    return a >> k, b >> k, c >> k
+
+
+def power(m: int, x: Element, n: int) -> Element:
+    """x^n by binary powering (Cohen, GTM 138, Alg. 1.2.1); n < 0 powers the conjugate.
+
+    For a primitive x the content of x^n is a power of 2, which mul takes
+    out at each step: an odd q would have to divide both ideals over q, or
+    be ramified or inert.
+    """
+    a, b, c = x
+    base = (a, -b, c) if n < 0 else x
+    n = abs(n)
+    acc = (1, 0, 1)
+    while n:
+        if n & 1:
+            acc = mul(m, acc, base)
+        n >>= 1
+        if n:
+            base = mul(m, base, base)
+    return acc
+
+
 def add(t1: Triple, t2: Triple) -> Triple:
     """Group law: [a1,b1,c1] + [a2,b2,c2] = [a1a2 - m b1b2, a1b2 + a2b1, c1c2]."""
     if t1.m != t2.m:
         raise ModulusMismatchError(f"cannot add triples over m={t1.m} and m={t2.m}")
-    m = t1.m
-    return normalize(
-        m,
-        t1.a * t2.a - m * t1.b * t2.b,
-        t1.a * t2.b + t2.a * t1.b,
-        t1.c * t2.c,
-    )
+    return normalize(t1.m, *mul(t1.m, (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)))
 
 
 def scalar_mul(n: int, t: Triple) -> Triple:
-    """n-fold sum by double-and-add; scalar_mul(0, t) is the identity."""
-    if n < 0:
-        n, t = -n, -t
-    acc = identity(t.m)
-    base = t
-    while n:
-        if n & 1:
-            acc = add(acc, base)
-        if n > 1:
-            base = add(base, base)
-        n >>= 1
-    return acc
+    """n-fold sum: one power of a + b*sqrt(-m), normalized once; scalar_mul(0, t) is the identity."""
+    return normalize(t.m, *power(t.m, (t.a, t.b, t.c), n))

@@ -1,3 +1,4 @@
+import os
 from math import gcd, isqrt
 
 import pytest
@@ -7,7 +8,12 @@ from aptgroup.basis import BasisElement, Category, NotTwoTorsionError
 from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
 from aptgroup.primes import factorize
 from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root
-from aptgroup.triples import add, normalize
+from aptgroup.triples import add, identity, normalize
+
+# The Hypothesis tests keep no example database (database=None); Hypothesis
+# would still cache the constants of the source under .hypothesis/, so its
+# storage is pointed at a path that cannot be created, and nothing is written.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(os.devnull, "hypothesis"))
 
 WORKED_M = (23, 35, 974)
 
@@ -40,6 +46,45 @@ def brute_triples(m: int, cmax: int) -> list[Triple]:
                 out.append(Triple(m, u, v, c))
             v += 1
     return out
+
+
+def oracle_add(t1: Triple, t2: Triple) -> Triple:
+    """The group law written out, normalized at once: the oracle for triples.add."""
+    m = t1.m
+    return normalize(m, t1.a * t2.a - m * t1.b * t2.b, t1.a * t2.b + t2.a * t1.b, t1.c * t2.c)
+
+
+def double_and_add(n: int, t: Triple) -> Triple:
+    """n * t by double-and-add, every step normalized.
+
+    The oracle for triples.scalar_mul, which powers a + b*sqrt(-m) and
+    normalizes once.
+    """
+    if n < 0:
+        n, t = -n, -t
+    acc = identity(t.m)
+    base = t
+    while n:
+        if n & 1:
+            acc = oracle_add(acc, base)
+        if n > 1:
+            base = oracle_add(base, base)
+        n >>= 1
+    return acc
+
+
+def termwise_recombine(basis: BasisTable, terms, special_coeff: int = 0) -> Triple:
+    """sum(s * beta(p)) + special_coeff * [q, r, 4], one normalized term at a time.
+
+    The oracle for decompose.recombine, which takes one product in
+    Z[sqrt(-m)] over all the terms and normalizes it once.
+    """
+    acc = identity(basis.mod)
+    for p, s in sorted(terms.items()):
+        acc = oracle_add(acc, double_and_add(s, basis.beta(p).triple))
+    if special_coeff:
+        acc = oracle_add(acc, double_and_add(special_coeff, basis.special()))
+    return acc
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

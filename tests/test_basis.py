@@ -14,7 +14,7 @@ from aptgroup.basis import (
     split_primes,
     two_torsion_triple,
 )
-from aptgroup import classgroup, quadfield
+from aptgroup import classgroup, primes, quadfield
 from aptgroup.classgroup import compose_forms
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
@@ -298,6 +298,16 @@ class TestPrimesProvedOnce:
         proofs.clear()
         assert decompose(bt, t).coefficients() == {1000033: 1, 1000037: 1}
         assert proofs == []
+
+    def test_cold_decompose_proves_each_prime_once(self, proofs, monkeypatch):
+        # on a fresh table the betas of the primes that factorize proved are not proved again
+        t = recombine(BasisTable(Modulus(35)), {1000033: 1, 1000037: 1})
+        bt = BasisTable(Modulus(35))
+        proofs.clear()
+        monkeypatch.setattr(primes, "is_prime", lambda n: proofs.append(n) or is_prime(n))
+        assert decompose(bt, t).coefficients() == {1000033: 1, 1000037: 1}
+        # factorize also tests the composite c once
+        assert sorted(n for n in proofs if n > 1000 and is_prime(n)) == [1000033, 1000037], proofs
 
     def test_public_beta_proves_once(self, proofs):
         bt = BasisTable(Modulus(974))

@@ -5,12 +5,12 @@ from collections import Counter
 from math import isqrt
 
 import pytest
-from conftest import brute_triples, descent, ideal_valuation, valuation
+from conftest import brute_triples, descent, double_and_add, ideal_valuation, termwise_recombine, valuation
 
 from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, recombine
 from aptgroup.basis import Category
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
-from aptgroup.triples import add, identity
+from aptgroup.triples import add, identity, scalar_mul
 from aptgroup.primes import factorize, is_squarefree
 from aptgroup.quadfield import splitting_type
 
@@ -131,16 +131,47 @@ class TestResidueSign:
 
     @pytest.mark.parametrize("wrong", ["no-op", "flipped"])
     def test_wrong_step_raises_instead_of_looping(self, tables, monkeypatch, wrong):
-        # decompose adds only to verify: a broken add must fail that check, not pass a wrong answer
+        # decompose multiplies only to verify: a broken product must fail that check, not pass a wrong answer
         triples = (Triple(974, 4141, 66, 4625), recombine(tables[974], {5: 2, 41: -1, 37: 3, 11: -5}))
-        real_add = decompose_module.add
+        real_mul = decompose_module.mul
         if wrong == "no-op":
-            monkeypatch.setattr(decompose_module, "add", lambda t1, t2: t1)
+            monkeypatch.setattr(decompose_module, "mul", lambda m, x, y: x)
         else:
-            monkeypatch.setattr(decompose_module, "add", lambda t1, t2: real_add(t1, -t2))
+            monkeypatch.setattr(decompose_module, "mul", lambda m, x, y: real_mul(m, x, (y[0], -y[1], y[2])))
         for t in triples:
             with pytest.raises(DecompositionError, match="recombination produced"):
                 decompose(tables[974], t)
+
+
+class TestRecombineOracle:
+    @pytest.mark.parametrize(
+        "m, vec, special",
+        [
+            # the pillars' powers cancel between the terms: 974 has pillars 5 and 41
+            (974, {5: 2, 41: -1, 37: 3, 11: -5}, 0),
+            (974, {5: -7, 41: 0, 3: 40, 37: -40, 11: 0}, 0),
+            (974, {}, 0),
+            (23, {2: -9, 3: 0, 13: 12}, 0),
+            (7, {2: 0, 11: -3, 23: 5}, -17),
+            (15, {17: 4, 19: -6}, 250),
+            (15, {}, -1),
+        ],
+    )
+    def test_matches_term_by_term(self, m, vec, special):
+        bt = BasisTable(Modulus(m))
+        t = recombine(bt, vec, special)
+        assert t == termwise_recombine(bt, vec, special)
+        assert decompose(bt, t).coefficients() == {p: s for p, s in vec.items() if s}
+
+    def test_seeded_vectors_match_term_by_term(self):
+        for m in (7, 15, 23, 35, 614, 974):
+            bt = BasisTable(Modulus(m))
+            primes = bt.split_primes(200)
+            rng = random.Random(m)
+            for _ in range(20):
+                vec = {p: rng.randint(-60, 60) for p in rng.sample(primes, min(4, len(primes)))}
+                special = rng.randint(-60, 60) if bt.special() is not None else 0
+                assert recombine(bt, vec, special) == termwise_recombine(bt, vec, special), (m, vec)
 
 
 class TestDescentOracle:
@@ -371,12 +402,21 @@ class TestLargeClassNumber:
             {3: -10, 11: -20, 13: -20},
             {3: 20, 11: -20, 13: 7},
             {2: 1, 3: -13, 11: 20, 13: -20},
+            {2: 10, 3: -30, 11: 30, 13: -30},
         ],
     )
     def test_round_trip(self, bt, vec):
         t = recombine(bt, vec)
         d = decompose(bt, t)
         assert d.coefficients() == vec and d.special_coeff == 0 and d.verified
+
+    def test_split_two_matches_the_oracles(self, bt):
+        # beta(2) is the pillar: its c is a power of 2 of 7253 bits
+        t = bt.beta(2).triple
+        for n in (-9, -2, -1, 0, 1, 2, 9):
+            assert scalar_mul(n, t) == double_and_add(n, t), n
+        for vec in ({2: 3, 3: -5}, {2: -2, 11: 4, 13: 0}):
+            assert recombine(bt, vec) == termwise_recombine(bt, vec), vec
 
     def test_half_triple(self, bt):
         m = self.M

@@ -2,12 +2,14 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aptgroup import Modulus, NotASolutionError, Triple
+from aptgroup.basis import special_four_element
 from aptgroup.quadfield import kronecker
 from aptgroup.triples import ModulusMismatchError, add, identity, normalize, parse_triple, scalar_mul
 from aptgroup.primes import factorize
-from conftest import brute_triples
+from conftest import brute_triples, double_and_add
 
 
 class TestNormalize:
@@ -94,8 +96,30 @@ class TestScalarMul:
             acc = add(acc, t)
             assert scalar_mul(n, t) == acc
 
+    @pytest.mark.parametrize("m", [7, 15])
+    def test_special_element_matches_double_and_add(self, m):
+        # c = 4: every power carries a power of 2 in its content
+        sp = special_four_element(Modulus(m))
+        for n in [*range(-100, 101), 1023, 1024, 4097, -12345, 19999, -20000, 20000]:
+            assert scalar_mul(n, sp) == double_and_add(n, sp), n
+
+    @pytest.mark.parametrize("m", [23, 35, 974])
+    def test_matches_double_and_add(self, m):
+        rng = random.Random(m + 3)
+        for t in rng.sample(brute_triples(m, POOL_CMAX[m]), 20):
+            for n in range(-40, 41):
+                assert scalar_mul(n, t) == double_and_add(n, t), (t, n)
+
 
 POOL_CMAX = {23: 250, 35: 250, 974: 1300}
+# primitive triples over moduli with a split 2 (7, 15, 23), 2 inert (35) and 2 ramified (974)
+HYPOTHESIS_POOL = [t for m in (7, 15, 23, 35, 974) for t in brute_triples(m, 300)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(HYPOTHESIS_POOL), st.integers(-500, 500), st.integers(-500, 500))
+def test_scalar_mul_is_additive(t, a, b):
+    assert add(scalar_mul(a, t), scalar_mul(b, t)) == scalar_mul(a + b, t)
 
 
 class TestGroupProperties:

@@ -1,4 +1,4 @@
-"""Print nine SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print ten SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -33,7 +33,11 @@ digest means the same outcome of two_torsion_triple, the triple or the
 class of the error, on 70,164 factor lists: at every square-free m < 400
 and at m = 974, one split p <= 60 with exponent 1 to 3 and either
 conjugate flag, and up to two pillar factors with exponent 1 to 3 and
-either flag.  It takes about ten seconds.
+either flag.  The same tenth digest means the same scalar_mul(n, t) for
+three seeded n in -5000..-1 and 1..5000 per triple t, over the 110
+triples beta(p), p <= 200, at m = 7, 15, 23, 35 and 974 (the special
+element among them, as beta(2), at m = 7 and 15).  It takes about
+twelve seconds.
 """
 
 import contextlib
@@ -52,6 +56,7 @@ from aptgroup.cli import main as cli_main  # noqa: E402
 from aptgroup.decompose import decompose, ideal_valuations, recombine  # noqa: E402
 from aptgroup.primes import is_squarefree  # noqa: E402
 from aptgroup.quadfield import Modulus, splitting_type  # noqa: E402
+from aptgroup.triples import scalar_mul  # noqa: E402
 
 OVERRIDES = [
     (23, (2,)),
@@ -193,6 +198,19 @@ def two_torsion_records():
                     yield factors, type(exc).__name__
 
 
+def scalar_mul_records():
+    for m in (7, 15, 23, 35, 974):
+        bt = BasisTable(Modulus(m))
+        rng = random.Random(m)
+        # elements includes the special element, as beta(2), at m = 7 and 15
+        for el in bt.elements(200):
+            for _ in range(3):
+                n = rng.choice((-1, 1)) * rng.randint(1, 5000)
+                t = scalar_mul(n, el.triple)
+                # hex: the components run past the int-to-decimal limit
+                yield m, el.p, n, hex(t.a), hex(t.b), hex(t.c)
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -211,6 +229,7 @@ def main():
     print(digest(decompose_records()))
     print(digest(large_coefficient_records()))
     print(digest(two_torsion_records()))
+    print(digest(scalar_mul_records()))
 
 
 if __name__ == "__main__":
