@@ -2,10 +2,9 @@
 
 Commands: classgroup, generators, beta, decompose, verify-paper.
 Machine output (--json, and decompose always) is canonical JSON with
-sorted keys; exit codes are 0 success, 1 a failing verify-paper fixture,
-2 invalid modulus or configuration, or a third component too hard to
-factor, 3 input not a solution, 4 decomposition verification failure.
-Every command accepts and ignores --cache-dir.
+sorted keys.  Every command accepts and ignores --cache-dir.  Exit codes
+are 0 success and 1 a failing verify-paper fixture; the handlers raise
+every other failure, and main alone prints it and picks its exit code.
 """
 
 from __future__ import annotations
@@ -17,14 +16,17 @@ import json
 import sys
 
 from .basis import MAX_BOUND, BasisTable, BoundTooLargeError
-from .classgroup import PillarConfigError
 from .decompose import DecompositionError, decompose
 from .fixtures import run_fixtures
 from .primes import FactoringBudgetError
-from .quadfield import InvalidModulusError, Modulus
+from .quadfield import Modulus
 from .triples import NotASolutionError, normalize, parse_triple
 
 __all__ = ["main"]
+
+# The first match picks the exit code: 3 input not a solution, 4 failed decomposition
+# check, 2 any other invalid input or configuration, or a third component rho cannot split.
+_EXIT_CODES = {NotASolutionError: 3, DecompositionError: 4, ValueError: 2, FactoringBudgetError: 2}
 
 
 def _canonical(obj) -> str:
@@ -117,8 +119,7 @@ def _element_line(el) -> str:
 
 def cmd_generators(args) -> int:
     if args.bound < 2:
-        print("error: --bound must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--bound must be at least 2")
     if args.bound > MAX_BOUND:
         # before the class group, which takes seconds for m near its limit
         raise BoundTooLargeError(args.bound)
@@ -135,12 +136,7 @@ def cmd_generators(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    bt = _get_table(args)
-    try:
-        el = bt.beta(args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    el = _get_table(args).beta(args.p)
     with _any_int_length():
         print(_canonical(_element_json(el)) if args.json else _element_line(el))
     return 0
@@ -148,40 +144,23 @@ def cmd_beta(args) -> int:
 
 def cmd_decompose(args) -> int:
     bt = _get_table(args)
-    try:
-        if len(args.triple) == 1:
-            t = parse_triple(bt.mod, args.triple[0])
-        elif len(args.triple) == 3:
-            t = normalize(bt.mod, *(int(x) for x in args.triple))
-        else:
-            print("error: give a triple as three integers or one 'a,b,c'", file=sys.stderr)
-            return 2
-    except NotASolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        d = decompose(bt, t)
-    except DecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    print(_canonical(d.to_json_dict()))
+    if len(args.triple) == 1:
+        t = parse_triple(bt.mod, args.triple[0])
+    elif len(args.triple) == 3:
+        t = normalize(bt.mod, *(int(x) for x in args.triple))
+    else:
+        raise ValueError("give a triple as three integers or one 'a,b,c'")
+    print(_canonical(decompose(bt, t).to_json_dict()))
     return 0
 
 
 def cmd_verify_paper(args) -> int:
     results = run_fixtures(args.m)
-    failures = 0
     for fx, ok, msg in results:
-        if ok:
-            print(f"PASS  {fx.name}")
-        else:
-            failures += 1
-            print(f"FAIL  {fx.name}: {msg}")
-    print(f"{len(results) - failures}/{len(results)} fixtures passed")
-    return 0 if failures == 0 and results else 1
+        print(f"PASS  {fx.name}" if ok else f"FAIL  {fx.name}: {msg}")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} fixtures passed")
+    return 0 if results and passed == len(results) else 1
 
 
 @functools.cache
@@ -224,9 +203,9 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (InvalidModulusError, PillarConfigError, BoundTooLargeError, FactoringBudgetError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Small exact prime utilities: primality, sieving, factoring.
 
-Everything here is deterministic; Miller-Rabin uses a witness set that is
-proven correct for all n < 3.3 * 10^24, far beyond what this package needs.
+Everything here is deterministic.  Below 3.3 * 10^24 primality is proven:
+Miller-Rabin to the 13 prime bases up to 41 has no false positive there.
+Above, it is the Baillie-PSW test, which has no known false positive.
 Factoring has a budget: a cofactor that Pollard-Brent rho does not split
 within RHO_BUDGET steps raises FactoringBudgetError.
 """
@@ -11,7 +12,10 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least composite that is a strong probable prime to every base above
+# (Sorenson & Webster, Math. Comp. 86, 2017); below it those bases prove.
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 # Iterations of x -> x^2 + c that one rho split may take.  Rho needs about
 # the square root of the smallest prime factor: on a 2-vCPU Xeon, at about
@@ -33,27 +37,83 @@ class FactoringBudgetError(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Primality: a set lookup below 1000, deterministic Miller-Rabin above."""
+    """Primality: a set lookup below 1000, then Miller-Rabin to the bases up
+    to 41, proven below _MR_PROVEN_BELOW (about 3.3 * 10^24); from there on,
+    Baillie-PSW, a strong test to base 2 and a strong Lucas test (Baillie &
+    Wagstaff, Math. Comp. 35, 1980), with no composite known to pass.
+    """
     if n < 1000:
         return n in _SMALL_PRIMES
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if any(n % p == 0 for p in _MR_WITNESSES):
+        return False
+    if n < _MR_PROVEN_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of the odd n > 2 to the base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of the odd n > 1000 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = d * 2^s, n passes when U_d = 0 or some
+    V_{d 2^r} = 0 (mod n), r < s.  A square has no such D and fails.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else -d + 2
+    if j == 0:  # |d| < n shares a factor with n
+        return False
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k, from k = 1 along the bits of (n + 1) / 2^s
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        # to 2k: U V, V^2 - 2 Q^k and Q^2k
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # to 2k + 1: (U + V)/2 and (D U + V)/2, halved mod the odd n
+            u, v = u + v, d * u + v
+            u = (u + n if u & 1 else u) // 2 % n
+            v = (v + n if v & 1 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -73,7 +133,7 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for e in factorize(n).values())
 
 
-# Trial division runs over the primes below 1000; larger factors are left to rho.
+# Trial division runs over the primes below 1000; larger factors are left to roots and rho.
 _TRIAL_PRIMES = tuple(primes_up_to(1000))
 _SMALL_PRIMES = frozenset(_TRIAL_PRIMES)
 
@@ -83,9 +143,9 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division removes the primes below 1000; once a trial prime passes
     the square root of what is left, that cofactor is 1 or a prime.
-    Otherwise the cofactor is split by Pollard-Brent rho until every part
-    passes Miller-Rabin; a split that takes over RHO_BUDGET steps raises
-    FactoringBudgetError.
+    Otherwise each part left is replaced by its root when it is a perfect
+    power, and else split by Pollard-Brent rho until every part is prime; a
+    split that takes over RHO_BUDGET steps raises FactoringBudgetError.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -101,15 +161,40 @@ def factorize(n: int) -> dict[int, int]:
             return out
         if n % p == 0:
             n, out[p] = _divide_out(n, p)
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (part, its exponent in the input)
     while stack:
-        n = stack.pop()
-        if is_prime(n):
-            out[n] = out.get(n, 0) + 1
+        n, e = stack.pop()
+        # a root costs a few percent of a primality test, and spares one on a power
+        if root := _perfect_root(n):
+            stack.append((root[0], e * root[1]))
+        elif is_prime(n):
+            out[n] = out.get(n, 0) + e
         else:
             f = _rho_factor(n)
-            stack += [f, n // f]
+            stack += [(f, e), (n // f, e)]
     return dict(sorted(out.items()))
+
+
+def _perfect_root(n: int) -> tuple[int, int] | None:
+    """(r, k) with r^k = n for the least prime k that has one, or None.
+
+    Every prime factor of n is above 1000, so a root r^k = n has k < log_1000 n.
+    """
+    for k in _TRIAL_PRIMES:
+        if 1000**k > n:
+            break
+        r = isqrt(n) if k == 2 else _kth_root(n, k)
+        if r**k == n:
+            return r, k
+    return None
+
+
+def _kth_root(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's iteration from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _divide_out(n: int, p: int) -> tuple[int, int]:

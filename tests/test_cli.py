@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -12,9 +13,13 @@ from pathlib import Path
 import pytest
 
 import aptgroup
-from aptgroup import BasisTable, Modulus, Triple, cli, recombine
+from aptgroup import BasisTable, DecompositionError, Modulus, Triple, cli, fixtures, recombine
 from aptgroup.basis import BoundTooLargeError
+from aptgroup.classgroup import PillarConfigError
 from aptgroup.cli import build_parser, main
+from aptgroup.primes import FactoringBudgetError
+from aptgroup.quadfield import InvalidModulusError
+from aptgroup.triples import NotASolutionError
 
 
 def run(capsys, *argv):
@@ -154,6 +159,45 @@ class TestParserReuse:
         seen = []
         monkeypatch.setattr(cli, "cmd_beta", lambda args: seen.append(args.p) or 7)
         assert main(["beta", "-m", "974", "37"]) == 7 and seen == [37]
+
+
+class TestExitCodes:
+    # every handler raises; main alone prints the error and picks the exit code
+    COMMANDS = [
+        ["classgroup", "-m", "23"],
+        ["generators", "-m", "23", "--bound", "10"],
+        ["beta", "-m", "23", "2"],
+        ["decompose", "-m", "23", "1", "0", "1"],
+        ["verify-paper"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("exc,want", [
+        (NotASolutionError("not a solution"), 3),
+        (DecompositionError("check failed"), 4),
+        (ValueError("bad input"), 2),
+        (InvalidModulusError("bad modulus"), 2),
+        (PillarConfigError("bad pillar"), 2),
+        (FactoringBudgetError(10**40), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_every_command_maps_an_error_alike(self, capsys, monkeypatch, argv, exc, want):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_get_table", fail)
+        monkeypatch.setattr(cli, "run_fixtures", fail)
+        assert run(capsys, *argv) == (want, "", f"error: {exc}\n")
+
+    def test_bound_checks_come_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_get_table", lambda args: pytest.fail("table built"))
+        for bound in ("1", "-5"):
+            assert run(capsys, "generators", "-m", "23", "--bound", bound) == (
+                2, "", "error: --bound must be at least 2\n")
+
+    @pytest.mark.parametrize("triple", [["4141", "66"], ["1", "2", "3", "4"], ["1,2"], ["a", "b", "c"]])
+    def test_decompose_parse_errors_exit_2(self, capsys, triple):
+        code, out, err = run(capsys, "decompose", "-m", "974", *triple)
+        assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
 
 class TestBetaCommand:
@@ -303,6 +347,17 @@ class TestVerifyPaperCommand:
         assert code == 0
         names = [l.split()[1] for l in out.splitlines() if l.startswith("PASS")]
         assert names and all(n.startswith("m35") for n in names)
+
+    def test_failure_exit_1(self, capsys, monkeypatch):
+        first = fixtures.FIXTURES[0]
+        monkeypatch.setattr(fixtures, "FIXTURES", (dataclasses.replace(first, expected=(3,)), first))
+        assert run(capsys, "verify-paper") == (1, (
+            "FAIL  m35.classgroup: got (2, [2], 2, [], []), expected (3,)\n"
+            "PASS  m35.classgroup\n"
+            "1/2 fixtures passed\n"), "")
+
+    def test_no_fixture_for_the_modulus_exit_1(self, capsys):
+        assert run(capsys, "verify-paper", "--m", "5") == (1, "0/0 fixtures passed\n", "")
 
     def test_corrupted_cache_is_ignored(self, capsys, tmp_path):
         # verify-paper recomputes; a corrupt cache must not break other commands

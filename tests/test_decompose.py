@@ -5,14 +5,15 @@ from collections import Counter
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import brute_triples, descent, double_and_add, ideal_valuation, termwise_recombine, valuation
 
 from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, recombine
 from aptgroup.basis import Category
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
 from aptgroup.triples import add, identity, scalar_mul
-from aptgroup.primes import factorize, is_squarefree
-from aptgroup.quadfield import splitting_type
+from aptgroup.primes import factorize, is_prime, is_squarefree
+from aptgroup.quadfield import kronecker, splitting_type
 
 # the package's `decompose` attribute is the function; the tests patch the module
 decompose_module = importlib.import_module("aptgroup.decompose")
@@ -372,6 +373,28 @@ class TestRoundTrips:
         assert t == Triple(35, 906413495341, -71425202196, 1000070001221)
         d = decompose(bt, t)
         assert dict(d.terms) == {1000033: 1, 1000037: 1} and d.verified
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.sampled_from([23, 35, 974]), st.integers(10**6, 10**12),
+           st.lists(st.integers(10**6, 10**8), max_size=2),
+           st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3))
+    def test_round_trip_large_split_primes(self, tables, m, large, smaller, coeffs):
+        # one split prime up to 10^12 and at most two up to 10^8, so that rho
+        # splits c in about 10^4 steps; sympy is the oracle of primality and factoring
+        sympy = pytest.importorskip("sympy")
+        bt = tables[m]
+        vec = {}
+        for n, coeff in zip([large, *smaller], coeffs):
+            n |= 1
+            while not (is_prime(n) and kronecker(bt.mod, n) == 1):
+                assert not sympy.isprime(n) or kronecker(bt.mod, n) != 1, n
+                n += 2
+            assert sympy.isprime(n)
+            vec[n] = coeff
+        t = recombine(bt, vec)
+        assert factorize(t.c) == sympy.factorint(t.c)
+        d = decompose(bt, t)
+        assert dict(d.terms) == vec and d.verified
 
 
 class TestLargeClassNumber:

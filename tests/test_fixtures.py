@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -32,3 +33,29 @@ def test_one_table_for_one_modulus(built):
     results = fixtures.run_fixtures(974)
     assert len(results) == 9 and all(ok for _, ok, _ in results)
     assert built == [(974, None)]
+
+
+def test_every_fixture_compares_its_value(monkeypatch):
+    # each expected value replaced: every fixture fails with the one failure text
+    wrong = object()
+    monkeypatch.setattr(fixtures, "FIXTURES", tuple(
+        dataclasses.replace(fx, expected=wrong) for fx in fixtures.FIXTURES))
+    results = fixtures.run_fixtures()
+    assert len(results) == 22
+    for fx, ok, msg in results:
+        assert not ok and msg.startswith("got ") and msg.endswith(f", expected {wrong!r}"), fx.name
+
+
+def test_a_wrong_value_and_a_crash_fail(monkeypatch):
+    def crash(tables):
+        raise ZeroDivisionError("boom")
+
+    first, second = fixtures.FIXTURES[:2]
+    monkeypatch.setattr(fixtures, "FIXTURES", (
+        dataclasses.replace(first, expected=(2, [2], 2, [], [(3, 2)])),
+        dataclasses.replace(second, compute=crash),
+    ))
+    assert fixtures.run_fixtures() == [
+        (fixtures.FIXTURES[0], False, "got (2, [2], 2, [], []), expected (2, [2], 2, [], [(3, 2)])"),
+        (fixtures.FIXTURES[1], False, "ZeroDivisionError: boom"),
+    ]

@@ -1,12 +1,18 @@
 import random
+import time
 from math import isqrt, prod
 
 import pytest
 
-from aptgroup import primes
+from aptgroup import BasisTable, primes, decompose, recombine
 from aptgroup.cli import main
 from aptgroup.primes import FactoringBudgetError, factorize, is_prime
 from aptgroup.quadfield import Modulus, kronecker
+
+# The least strong pseudoprimes to the prime bases up to 37 and up to 41
+# (Sorenson & Webster, Math. Comp. 86, 2017), with their factors.
+PSI12 = (318665857834031151167461, 399165290221, 798330580441)
+PSI13 = (3317044064679887385961981, 1287836182261, 2575672364521)
 
 # (n, factorization) with every prime factor above the trial-division range
 LARGE = [
@@ -79,6 +85,26 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
+    @pytest.mark.parametrize("n,want", [
+        (1009**400, {1009: 400}),
+        (1000003**60, {1000003: 60}),
+        ((1009 * 1013) ** 50, {1009: 50, 1013: 50}),
+        (1009**7 * 1013**14, {1009: 7, 1013: 14}),  # a 7th power whose root is no power
+        (2**10 * 997**3 * 100043**12 * 1000033**3, {2: 10, 997: 3, 100043: 12, 1000033: 3}),
+    ], ids=["1009^400", "1000003^60", "(1009*1013)^50", "1009^7*1013^14", "mixed"])
+    def test_powers_above_the_trial_range(self, n, want):
+        # a power is taken to its root before rho; 1009^400 took 21.6 s through rho alone
+        start = time.perf_counter()
+        assert factorize(n) == want
+        assert time.perf_counter() - start < 1
+
+    def test_kth_root(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            n, k = rng.randrange(1, 10 ** rng.randint(1, 120)), rng.randint(3, 50)
+            r = primes._kth_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
     def test_budget_stops_rho(self, monkeypatch):
         # (10^9 + 7)(10^9 + 9) takes about 50,000 rho steps to split
         n = (10**9 + 7) * (10**9 + 9)
@@ -108,3 +134,52 @@ class TestIsPrime:
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert out.err.startswith("error:") and "not prime" in out.err and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("psi", [PSI12, PSI13])
+    def test_least_strong_pseudoprimes_are_composite(self, psi):
+        n, p, q = psi
+        assert n == p * q and is_prime(p) and is_prime(q)
+        # both pass the strong test to every base up to 37, psi13 to 41 as well
+        assert all(primes._strong_probable_prime(n, a) for a in primes._MR_WITNESSES[:12])
+        assert not is_prime(n)
+
+    def test_psi13_is_the_proven_bound(self):
+        n = PSI13[0]
+        assert primes._MR_PROVEN_BELOW == n
+        assert all(primes._strong_probable_prime(n, a) for a in primes._MR_WITNESSES)
+        assert not primes._strong_lucas_probable_prime(n)
+
+    def test_psi12_round_trip_at_m5(self):
+        # accepted as prime, psi12 made the sum of its two factors' betas decompose as beta(psi12)
+        _, p, q = PSI12
+        bt = BasisTable(Modulus(5))
+        d = decompose(bt, recombine(bt, {p: 1, q: 1}))
+        assert dict(d.terms) == {p: 1, q: 1} and d.verified
+
+    def test_cli_beta_of_psi12_exit_2(self, capsys):
+        code = main(["beta", "-m", "5", str(PSI12[0])])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: {PSI12[0]} is not prime\n"
+
+    def test_strong_lucas_matches_sympy(self):
+        # below 30000 eight odd composites pass, the least 5459 (OEIS A217255)
+        is_strong_lucas_prp = pytest.importorskip("sympy.ntheory.primetest").is_strong_lucas_prp
+        passed = []
+        for n in range(1001, 30001, 2):
+            got = primes._strong_lucas_probable_prime(n)
+            assert got == is_strong_lucas_prp(n), n
+            if got and not is_prime(n):
+                passed.append(n)
+        assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_above_the_proven_bound_matches_sympy(self, seed):
+        isprime = pytest.importorskip("sympy").isprime
+        rng = random.Random(seed)
+        for _ in range(400):
+            n = rng.randrange(PSI13[0], 10 ** rng.randint(25, 120))
+            assert is_prime(n) == isprime(n), n
+        # a prime above the bound, its square and its product with a prime
+        p = next(n for n in range(10**30 + 1, 10**31, 2) if isprime(n))
+        assert is_prime(p) and not is_prime(p * p) and not is_prime(p * 1000003)

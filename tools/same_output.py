@@ -1,4 +1,4 @@
-"""Print ten SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print eleven SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -36,8 +36,10 @@ conjugate flag, and up to two pillar factors with exponent 1 to 3 and
 either flag.  The same tenth digest means the same scalar_mul(n, t) for
 three seeded n in -5000..-1 and 1..5000 per triple t, over the 110
 triples beta(p), p <= 200, at m = 7, 15, 23, 35 and 974 (the special
-element among them, as beta(2), at m = 7 and 15).  It takes about
-twelve seconds.
+element among them, as beta(2), at m = 7 and 15).  The same eleventh
+digest means the same exit code, stdout and stderr of CLI_CALLS, run in
+this process: the commands of bench/data/cli_mix.json and an error path
+of every subcommand.  It takes about thirteen seconds.
 """
 
 import contextlib
@@ -45,6 +47,7 @@ import hashlib
 import io
 import itertools
 import random
+import shlex
 import sys
 from pathlib import Path
 
@@ -81,6 +84,98 @@ BASIS_COMMANDS = [
     ["generators", "-m", "35", "--bound", "100000", "--json"],
     ["beta", "-m", "100000007", "2", "--json"],
 ]
+# the commands of bench/data/cli_mix.json, then the error paths, exits 1 to 3 and argparse's
+CLI_CALLS = [shlex.split(line) for line in """
+beta -m 35 5
+beta -m 35 x
+verify-paper
+beta -m 23 59
+beta -m 35 79
+beta -m 974 7
+beta -m 974 37
+beta -m 974 193
+classgroup -m 3
+classgroup -m 12
+classgroup -m 23
+classgroup -m 35
+classgroup -m 974
+verify-paper --m 23
+verify-paper --m 35
+beta -m 974 5 --json
+verify-paper --m 974
+beta -m 35 149 --json
+classgroup -m 2000002
+decompose -m 23 2,1,3
+decompose -m 35 1 2 3
+classgroup -m 35 --json
+classgroup -m 974 --json
+decompose -m 974 4141 66
+generators -m 35 --bound 1
+generators -m 35 --bound 17
+classgroup -m 3000010 --json
+generators -m 23 --bound 200
+generators -m 614 --bound 50
+decompose -m 974 4141 66 4625
+decompose -m 974 4141,66,4625
+generators -m 974 --bound 200
+beta -m 23 13 --pillar 3 --json
+generators -m 35 --bound 200 --json
+generators -m 974 --bound 50 --json
+generators -m 23 --bound 3 --pillar 3
+generators -m 23 --bound 10 --pillar 59
+generators -m 23 --bound 50 --pillar p=3 --json
+generators -m 974 --bound 100 --pillar 5 --pillar 41
+classgroup -m 0
+classgroup -m -35
+classgroup -m 10000000019
+classgroup -m 100000000000000000000000000000000000000000000003
+classgroup -m 974 --pillar 7
+classgroup -m 974 --pillar 4
+classgroup -m 974 --pillar 1
+classgroup -m 974 --pillar 0
+classgroup -m 974 --pillar =-5
+classgroup -m 974 --pillar 5 --pillar 31
+classgroup -m 974 --pillar 37
+classgroup -m 35 --pillar 4
+classgroup -m 35 --pillar 3 --json
+classgroup -m 3000010 --pillar 11
+generators -m 35 --bound 0
+generators -m 35 --bound -7
+generators -m 35 --bound 1000001
+generators -m 35 --bound 1000000000000000000
+generators -m 12 --bound 10
+generators -m 35 --bound 17 --pillar 3
+generators -m 35 --bound x
+beta -m 23 5
+beta -m 35 2
+beta -m 35 4
+beta -m 35 1001
+beta -m 35 -3
+beta -m 12 11
+beta -m 974 41 --pillar 97
+decompose -m 974 4141 66 4625 1
+decompose -m 974 1,2
+decompose -m 974 a,b,c
+decompose -m 974 x y z
+decompose -m 974 4141,66
+decompose -m 974 [-4141,66,4625]
+decompose -m 974 -- -4141,66,4625
+decompose -m 974 -4141 -66 4625
+decompose -m 23 1 1 5
+decompose -m 23 1,1,5
+decompose -m 974 4141 66 4624
+decompose -m 12 1 0 1
+decompose -m 974 1 0 1 --pillar 7
+decompose -m 35 906413495341,-71425202196,1000070001221
+verify-paper --m 5
+verify-paper --m x
+classgroup
+""".strip().splitlines()] + [
+    [],
+    ["decompose", "-m", "974", "1" * 5000, "1", "1"],
+    ["decompose", "-m", "974", ",".join(["1" * 5000] * 3)],
+    ["beta", "-m", "1" * 5000, "2"],
+]
 
 
 def pillars(q):
@@ -116,12 +211,26 @@ def large_records():
         yield m, table.forms, table.structure
 
 
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def cli_records(commands):
     for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(argv)
-        yield argv, code, out.getvalue()
+        code, out, _ = run_cli(argv)
+        yield argv, code, out
+
+
+def cli_call_records():
+    for argv in CLI_CALLS:
+        yield argv, *run_cli(argv)
 
 
 def outcome(f, p):
@@ -230,6 +339,7 @@ def main():
     print(digest(large_coefficient_records()))
     print(digest(two_torsion_records()))
     print(digest(scalar_mul_records()))
+    print(digest(cli_call_records()))
 
 
 if __name__ == "__main__":
