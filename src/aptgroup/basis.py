@@ -23,8 +23,8 @@ per admissible pattern.  A table computes each beta(p) once, from one record
 of the splitting data of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
 factorize, proved already, prove none.
-The image of beta, together with the distinguished [q, r, 4] element for
-m in {7, 15}, generates the triple group freely.
+The image of beta generates the triple group freely; for m in {7, 15}
+beta(2) is the distinguished [q, r, 4] element.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ class ExpEntry:
     """One pillar exponent of a composite basis element.
 
     With h the pillar's order, a is taken from {0, ..., floor(h/2)}; conj
-    records whether the conjugate pillar ideal is the one used.  At exactly
-    h/2 both choices work and the unconjugated ideal is preferred.
+    records whether the factor is a power of <p, -r + sqrt(-m)>, the
+    conjugate of the chosen ideal <p, r + sqrt(-m)> of the pillar's
+    PrimeSplitInfo.  At exactly h/2 both choices work and the chosen ideal
+    is preferred.
     """
 
     j: int  # 1-based pillar index
@@ -131,49 +133,35 @@ def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-IdealFactor = tuple[PrimeSplitInfo, int] | tuple[PrimeSplitInfo, int, bool]
+IdealFactor = tuple[PrimeSplitInfo, int, bool]
 
 
 def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
     """The primitive triple attached to an ideal product with 2-torsion class.
 
-    factors lists (split info, exponent[, conjugate]) pairs; the product I
-    of norm n must have class of order at most 2, so that I^2 is principal
-    with a generator z of norm n^2.  The factors' forms prime_form(p, 2e),
-    b negated for a conjugate factor, compose (unreduced, by united) to the
+    factors lists (split info, exponent, conjugate) triples of distinct
+    split primes with exponent at least 1; the product I of norm n must
+    have class of order at most 2, so that I^2 is principal with a
+    generator z of norm n^2.  The factors' forms prime_form(p, 2e), b
+    negated for a conjugate factor, compose (unreduced, by united) to the
     form (N, B, C) of the conjugate of I^2, N = n^2; so I^2 = <N, (r +
     sqrt(-m)) / 2^(1-delta)> with r = B / 2^delta a square root of -m
     modulo 4N / 2^(2 delta).  Cornacchia's algorithm on (N, r), or on
     (2N, r) for 4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and 1.5.3),
     finds z or shows that I^2 is not principal.  Conjugating every factor
-    gives the same triple.  A ramified factor squares to a rational
-    principal ideal and drops out projectively; 2 may appear only inert or
-    split, and each prime in one factor at most.
+    gives the same triple.  The empty product gives the identity.
     """
     factors = list(factors)
-    if any(f[1] < 0 for f in factors):
-        raise ValueError("ideal exponents must be non-negative")
-    n, form, seen = 1, None, set()
-    for info, e, *conj in factors:
-        p = info.p
-        if not e:
-            continue
-        if info.kind is SplitKind.INERT and p != 2:
-            raise ValueError(f"odd inert prime {p} has no degree-one ideal")
-        if info.kind is SplitKind.RAMIFIED and p == 2:
-            raise ValueError("a factor above 2 requires 2 inert or split")
-        if info.kind is not SplitKind.SPLIT:
-            # inert <2> and ramified ideals square to rational ideals
-            continue
-        if p in seen:
-            raise ValueError("each prime may appear in only one factor")
-        seen.add(p)
-        n *= p**e
-        a, b, c = prime_form(mod, info, 2 * e)
-        f = (a, -b, c) if any(conj) else (a, b, c)
-        form = f if form is None else united(form, f)
-    if n == 1:
+    if len({info.p for info, e, _ in factors if info.kind is SplitKind.SPLIT and e >= 1}) != len(factors):
+        raise ValueError("factors must be distinct split primes with exponents at least 1")
+    if not factors:
         return Triple(mod.m, 1, 0, 1)
+    n, form = 1, None
+    for info, e, conj in factors:
+        n *= info.p**e
+        a, b, c = prime_form(mod, info, 2 * e)
+        f = (a, -b, c) if conj else (a, b, c)
+        form = f if form is None else united(form, f)
     modulus = form[0] << (1 - mod.delta)
     r = (form[1] >> mod.delta) % modulus
     # Cornacchia: Euclid on (modulus, r) down to the square root of the norm
@@ -189,7 +177,7 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
         raise NotTwoTorsionError(
             "ideal product has no generator of the required norm; its class is not 2-torsion"
         )
-    return normalize(mod, b, y, n << (1 - mod.delta))
+    return normalize(mod.m, b, y, n << (1 - mod.delta))
 
 
 def special_four_element(mod: Modulus) -> Triple | None:
@@ -279,11 +267,11 @@ class BasisTable:
         fp = self.table._class_of(info)
         index = next((pl.index for pl in self.pillars if pl.p == p), None)
         if self.table.in_two_torsion(fp):
-            cat, own, exps = Category.TWO_TORSION, (info, 1), ()
+            cat, own, exps = Category.TWO_TORSION, (info, 1, False), ()
         elif index is not None:
-            cat, own, exps = Category.PILLAR, (info, self.pillars[index - 1].order), ()
+            cat, own, exps = Category.PILLAR, (info, self.pillars[index - 1].order, False), ()
         else:
-            cat, own = Category.COMPOSITE, (info, 1)
+            cat, own = Category.COMPOSITE, (info, 1, False)
             exps = tuple(
                 ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
                 for b, pl in zip(self.quotient.coords(fp.inverse()), self.pillars)

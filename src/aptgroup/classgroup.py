@@ -92,16 +92,9 @@ def _is_ambiguous(f: FormClass) -> bool:
     return b == 0 or b == a or a == c
 
 
-def reduce_form(a: int, b: int, c: int, disc: int | None = None) -> FormClass:
-    """Gauss reduction of a primitive positive definite form.
-
-    When disc is given the form's discriminant must match it exactly.
-    Idempotent on already-reduced forms.
-    """
-    d = b * b - 4 * a * c
-    if disc is not None and d != disc:
-        raise DiscriminantMismatchError(f"form has discriminant {d}, expected {disc}")
-    if d >= 0 or a <= 0:
+def reduce_form(a: int, b: int, c: int) -> FormClass:
+    """Gauss reduction of a primitive positive definite form; idempotent on reduced forms."""
+    if b * b - 4 * a * c >= 0 or a <= 0:
         raise ValueError("form must be positive definite")
     while True:
         if not (-a < b <= a):
@@ -161,9 +154,11 @@ def prime_form(mod: Modulus, info: PrimeSplitInfo, k: int = 1) -> tuple[int, int
     The form (a, b, c) stands for the ideal [a, (-b + sqrt(disc))/2]
     (Cohen, GTM 138, section 5.2), so b = r (mod p^k) for a square root r
     of -m above info.root: b = 2r when disc = -4m, and b odd with b = r
-    (mod p^k) when disc = -m; a split 2 has r = 1 (mod 4) and, as 4a must
-    divide b^2 - disc, one more power.  For k > 1 the root is lifted by
-    lift_root.  Split or ramified p; a ramified p takes k = 1.
+    (mod p^k) when disc = -m.  For k = 1 that is <p, -r + sqrt(-m)>, the
+    conjugate of the chosen ideal <p, r + sqrt(-m)> of PrimeSplitInfo; b
+    negated gives the chosen ideal.  A split 2 has r = 1 (mod 4) and, as
+    4a must divide b^2 - disc, one more power.  For k > 1 the root is
+    lifted by lift_root.  Split or ramified p; a ramified p takes k = 1.
     """
     p = info.p
     a = p**k
@@ -296,14 +291,14 @@ def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
 class ClassGroupTable:
     """All reduced forms of one field discriminant, with Cl[2] and the walks of Cl^2.
 
-    ``twotorsion`` is the ambiguous forms and ``structure`` holds the
-    invariant factors of Cl, largest first.  Only the squares are walked:
-    the forms are squared in ascending order until every class of Cl^2 is
-    on a walk, or walked themselves when Cl[2] is trivial and Cl^2 = Cl.
-    Each class of Cl^2 keeps the walk that reached it and its index there,
-    and order_of and powers read it off.  The invariant factors of Cl^2,
-    padded with 1s to the 2-rank r, give those of Cl by doubling the first
-    r.  All is fixed at construction but the memo of quotients, one per
+    ``twotorsion`` is the ambiguous forms, ``structure`` holds the
+    invariant factors of Cl and ``square_factors`` those of Cl^2, largest
+    first.  Only the squares are walked: the forms are squared in ascending
+    order until every class of Cl^2 is on a walk, or walked themselves when
+    Cl[2] is trivial and Cl^2 = Cl.  Each class of Cl^2 keeps the walk that
+    reached it and its index there, and order_of and powers read it off.
+    The invariant factors of Cl^2, padded with 1s to the 2-rank r, give
+    those of Cl by doubling the first r.  All is fixed at construction but the memo of quotients, one per
     pillar choice, that quotient_setup fills lazily: two threads may both
     build one quotient, and either of the equal results is kept.
     """
@@ -322,11 +317,9 @@ class ClassGroupTable:
             drawn = (compose_forms(f, f) for f in drawn)
         self._walks = _element_walks(drawn, self.identity, self.h // len(self.twotorsion))
         rank = len(self.twotorsion).bit_length() - 1
-        factors = list(_invariant_factors([self.order_of(x) for x in self._walks]))
-        factors += [1] * (rank - len(factors))
-        self.structure: tuple[int, ...] = tuple(
-            2 * n if i < rank else n for i, n in enumerate(factors)
-        )
+        self.square_factors = _invariant_factors([self.order_of(x) for x in self._walks])
+        factors = self.square_factors + (1,) * (rank - len(self.square_factors))
+        self.structure: tuple[int, ...] = tuple(2 * n for n in factors[:rank]) + factors[rank:]
         self._quotients: dict[tuple[int, ...] | None, QuotientData] = {}
 
     def order_of(self, f: FormClass) -> int:
@@ -349,13 +342,11 @@ class ClassGroupTable:
         return _is_ambiguous(f)
 
     def class_of_prime(self, p: int) -> FormClass:
-        """The class of the chosen prime ideal over p (the canonical lifting).
+        """The class of prime_form(p), that of the conjugate <p, -r + sqrt(-m)> of the chosen ideal.
 
-        The ideal <p, r + sqrt(-m)> with the canonical root r corresponds to
-        the form (p, B, (B^2 - disc)/4p) where B is the unique residue in
-        (-p, p] compatible with r; the conjugate ideal maps to the inverse
-        class.  Inert primes lie over <p> itself, which is principal: they
-        map to the identity.
+        The chosen ideal <p, r + sqrt(-m)> of PrimeSplitInfo has the inverse
+        class.  The pillars, the quotient and basis all use this one.  Inert
+        primes lie over <p> itself, which is principal: the identity.
         """
         return self._class_of(splitting_type(self.mod, p))
 
@@ -374,7 +365,7 @@ class Pillar:
     p: int
     info: PrimeSplitInfo
     order: int  # size of the cyclic factor this prime generates
-    form: FormClass  # class of the chosen ideal in Cl
+    form: FormClass  # class_of_prime of p
 
 
 def _prime_power_parts(n: int) -> list[tuple[int, int]]:
@@ -411,22 +402,20 @@ class QuotientData:
 
     Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
     quotient is presented as that subgroup: the image of a class f is
-    f * f, and its invariant factors are those of Cl with every even one
-    halved (factors of order 2 vanish).  The pillar primes, an override in
-    the given order or the default two-phase choice, go through one
-    construction: it grows the coordinates factor by factor and checks the
-    internal direct sum, as |A * B| = |A| |B| exactly when A and B meet
-    only in the identity.  It reads the table only while it is built and
-    keeps no reference to it, so a table and the quotients it keeps form no
-    reference cycle and are freed as soon as the table is dropped.
+    f * f, and its size and invariant factors are those of the table's
+    walks of Cl^2.  The pillar primes, an override in the given order or
+    the default two-phase choice, go through one construction: it grows
+    the coordinates factor by factor and checks the internal direct sum,
+    as |A * B| = |A| |B| exactly when A and B meet only in the identity.
+    It reads the table only while it is built and keeps no reference to
+    it, so a table and the quotients it keeps form no reference cycle and
+    are freed as soon as the table is dropped.
     """
 
     def __init__(self, table: ClassGroupTable, override: tuple[int, ...] | None = None):
         ident = self.identity = table.identity
-        self.size = table.h // len(table.twotorsion)
-        self.invariant_factors: tuple[int, ...] = tuple(
-            n // gcd(n, 2) for n in table.structure if n > 2
-        )
+        self.size = len(table._walks)
+        self.invariant_factors: tuple[int, ...] = table.square_factors
         if override is None:
             picks = self._select_default_pillars(table)
         else:

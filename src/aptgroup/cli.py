@@ -19,7 +19,7 @@ from .basis import MAX_BOUND, BasisTable, BoundTooLargeError
 from .decompose import DecompositionError, decompose
 from .fixtures import run_fixtures
 from .primes import FactoringBudgetError
-from .quadfield import Modulus
+from .quadfield import Modulus, splitting_type
 from .triples import NotASolutionError, normalize, parse_triple
 
 __all__ = ["main"]
@@ -48,8 +48,8 @@ def _any_int_length():
         sys.set_int_max_str_digits(limit)
 
 
-def _get_table(args) -> BasisTable:
-    return BasisTable(Modulus(args.m), tuple(args.pillar) if args.pillar else None)
+def _get_table(args, mod: Modulus) -> BasisTable:
+    return BasisTable(mod, tuple(args.pillar) if args.pillar else None)
 
 
 def _pillar_arg(text: str) -> int:
@@ -71,7 +71,7 @@ def _add_common(sub):
 
 
 def cmd_classgroup(args) -> int:
-    bt = _get_table(args)
+    bt = _get_table(args, Modulus(args.m))
     table, quot = bt.table, bt.quotient
     if args.json:
         doc = {
@@ -123,7 +123,7 @@ def cmd_generators(args) -> int:
     if args.bound > MAX_BOUND:
         # before the class group, which takes seconds for m near its limit
         raise BoundTooLargeError(args.bound)
-    bt = _get_table(args)
+    bt = _get_table(args, Modulus(args.m))
     elements = bt.elements(args.bound)
     with _any_int_length():
         if args.json:
@@ -136,21 +136,23 @@ def cmd_generators(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    el = _get_table(args).beta(args.p)
+    mod = Modulus(args.m)
+    splitting_type(mod, args.p)  # proves p prime before the class group is built
+    el = _get_table(args, mod)._proven_beta(args.p)
     with _any_int_length():
         print(_canonical(_element_json(el)) if args.json else _element_line(el))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    bt = _get_table(args)
+    mod = Modulus(args.m)
     if len(args.triple) == 1:
-        t = parse_triple(bt.mod, args.triple[0])
+        t = parse_triple(mod.m, args.triple[0])
     elif len(args.triple) == 3:
-        t = normalize(bt.mod, *(int(x) for x in args.triple))
+        t = normalize(mod.m, *(int(x) for x in args.triple))
     else:
         raise ValueError("give a triple as three integers or one 'a,b,c'")
-    print(_canonical(decompose(bt, t).to_json_dict()))
+    print(_canonical(decompose(_get_table(args, mod), t).to_json_dict()))
     return 0
 
 

@@ -11,9 +11,9 @@ basis triple other than beta(q) has q in its third component unless q
 is a pillar.  So each composite and 2-torsion coefficient is the signed
 exponent of t, one residue telling the side, and each pillar coefficient
 is the signed exponent of t less those of the composite terms, divided
-by h.  For m in {7, 15} the coefficient at 2 is that of the distinguished
-[q, r, 4] element, reported separately.  The result is verified by exact
-recombination before it is returned.
+by h.  For m in {7, 15} beta(2) is the distinguished [q, r, 4] element,
+whose coefficient, that at 2, is reported separately.  The result is
+verified by exact recombination before it is returned.
 """
 
 from __future__ import annotations
@@ -78,11 +78,13 @@ def ideal_valuations(mod: Modulus, t: Triple) -> dict[PrimeIdealRef, int]:
 
     Every odd prime dividing c splits, and coprimality of (a, b) forces the
     whole valuation 2 * v_q(c) onto exactly one of the two ideals over q:
-    a - b*sqrt(-m) lies in <q, r + sqrt(-m)> exactly when q divides a + b*r,
-    and otherwise in the conjugate.  All exponents are even and
-    the ideal norms multiply to the square of the odd part of c.  The
-    2-adic part (present only when -m = 1 mod 4 and c is even) is carried
-    by the triple itself and is not reported here.
+    a - b*sqrt(-m) lies in the chosen ideal <q, r + sqrt(-m)> of
+    PrimeSplitInfo exactly when q divides a + b*r, and otherwise in its
+    conjugate <q, -r + sqrt(-m)>, the ideal of classgroup.prime_form and
+    class_of_prime, which is reported with conj set.  All exponents are
+    even and the ideal norms multiply to the square of the odd part of c.
+    The 2-adic part (present only when -m = 1 mod 4 and c is even) is
+    carried by the triple itself and is not reported here.
     """
     if t.m != mod.m:
         raise ValueError("triple does not belong to this modulus")
@@ -121,11 +123,9 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     mod = basis.mod
     if t.m != mod.m:
         raise ValueError("triple does not belong to this basis")
-    special = basis.special()
     fac = factorize(t.c)
     vals: dict[int, int] = {}  # split prime q -> exponent of the ideal over q that t lies on
     coeffs: dict[int, int] = {}
-    special_coeff = 0
     composites = []  # (coefficient, basis element) of each composite term
     pillar_primes = {pl.p for pl in basis.pillars}
     for q, e in fac.items():
@@ -139,13 +139,9 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         if q in pillar_primes:
             continue
         el = basis._proven_beta(q)
-        s = _signed(t, el.triple, q, vals[q])
-        if special is not None and q == 2:
-            special_coeff = s
-        else:
-            coeffs[q] = s
-            if el.exps:
-                composites.append((s, el))
+        coeffs[q] = s = _signed(t, el.triple, q, vals[q])
+        if el.exps:
+            composites.append((s, el))
     for pl in basis.pillars:
         j = pl.index - 1
         # the exponents at the pillar of t and of the composite terms taken off it
@@ -161,39 +157,30 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         # beta(p) has exponent h on its own side; recombination checks the quotient
         coeffs[pl.p] = _signed(basis._proven_beta(pl.p).triple, ref, pl.p, rest) // pl.order
 
+    special_coeff = coeffs.pop(2, 0) if basis.special() is not None else 0
     terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
-    result = Decomposition(mod.m, t, terms, special_coeff, verified=False)
-    check = recombine(basis, result)
+    check = recombine(basis, dict(terms), special_coeff)
     if check != t:
         raise DecompositionError(f"recombination produced {check}, expected {t}")
     return Decomposition(mod.m, t, terms, special_coeff, verified=True)
 
 
-def recombine(
-    basis: BasisTable,
-    terms: Decomposition | Mapping[int, int],
-    special_coeff: int = 0,
-) -> Triple:
+def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 0) -> Triple:
     """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group.
 
-    The sum is one product of powers in Z[sqrt(-m)], normalized once; its
-    content holds, besides powers of 2, the pillar primes at which terms
-    on opposite sides cancel.
+    [q, r, 4] exists for m in {7, 15} only, and is beta(2) there, so
+    special_coeff adds to the coefficient of 2.  The sum is one product of
+    powers in Z[sqrt(-m)], normalized once; its content holds, besides
+    powers of 2, the pillar primes at which terms on opposite sides cancel.
     """
-    if isinstance(terms, Decomposition):
-        special_coeff = terms.special_coeff
-        items = terms.terms
-    else:
-        items = sorted(terms.items())
+    if special_coeff:
+        if basis.special() is None:
+            raise ValueError("no [q, r, 4] element exists for this modulus")
+        terms = {**terms, 2: terms.get(2, 0) + special_coeff}
     m = basis.mod.m
     acc = (1, 0, 1)
-    for p, s in items:
+    for p, s in sorted(terms.items()):
         if s:
             t = basis.beta(p).triple
             acc = mul(m, acc, power(m, (t.a, t.b, t.c), s))
-    if special_coeff:
-        sp = basis.special()
-        if sp is None:
-            raise ValueError("no [q, r, 4] element exists for this modulus")
-        acc = mul(m, acc, power(m, (sp.a, sp.b, sp.c), special_coeff))
     return normalize(m, *acc)

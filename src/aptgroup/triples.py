@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .quadfield import Modulus
-
 __all__ = [
     "ModulusMismatchError",
     "NotASolutionError",
@@ -38,10 +36,6 @@ class ModulusMismatchError(ValueError):
 
 class NotASolutionError(ValueError):
     """The given integers do not solve a^2 + m*b^2 = c^2."""
-
-
-def _m_of(mod: Modulus | int) -> int:
-    return mod.m if isinstance(mod, Modulus) else int(mod)
 
 
 @dataclass(frozen=True, order=True)
@@ -82,17 +76,16 @@ class Triple:
         return f"[{self.a}, {self.b}, {self.c}]"
 
 
-def identity(mod: Modulus | int) -> Triple:
-    return Triple(_m_of(mod), 1, 0, 1)
+def identity(m: int) -> Triple:
+    return Triple(m, 1, 0, 1)
 
 
-def normalize(mod: Modulus | int, a: int, b: int, c: int) -> Triple:
+def normalize(m: int, a: int, b: int, c: int) -> Triple:
     """Canonical representative of the class of (a, b, c).
 
     Divides out the content, makes c positive, then flips the sign of
     (a, b) jointly so that a > 0.  Idempotent on canonical triples.
     """
-    m = _m_of(mod)
     if c == 0:
         raise NotASolutionError("third component must be nonzero")
     if a * a + m * b * b != c * c:
@@ -109,13 +102,13 @@ def normalize(mod: Modulus | int, a: int, b: int, c: int) -> Triple:
     return Triple(m, a, b, c)
 
 
-def parse_triple(mod: Modulus | int, text: str) -> Triple:
+def parse_triple(m: int, text: str) -> Triple:
     """Parse "a,b,c" (optionally bracketed, spaces allowed) canonically."""
     parts = text.strip().strip("[]()").replace(",", " ").split()
     if len(parts) != 3:
         raise ValueError(f"expected three components, got {text!r}")
     a, b, c = (int(p) for p in parts)
-    return normalize(mod, a, b, c)
+    return normalize(m, a, b, c)
 
 
 Element = tuple[int, int, int]

@@ -79,7 +79,7 @@ def termwise_recombine(basis: BasisTable, terms, special_coeff: int = 0) -> Trip
     The oracle for decompose.recombine, which takes one product in
     Z[sqrt(-m)] over all the terms and normalizes it once.
     """
-    acc = identity(basis.mod)
+    acc = identity(basis.mod.m)
     for p, s in sorted(terms.items()):
         acc = oracle_add(acc, double_and_add(s, basis.beta(p).triple))
     if special_coeff:
@@ -123,25 +123,17 @@ def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
     NotTwoTorsionError.  Raises ValueError on the same inputs.
     """
     factors = list(factors)
-    if any(f[1] < 0 for f in factors):
-        raise ValueError("ideal exponents must be non-negative")
     n = 1
     r, modulus = (0, 1) if mod.delta else (1, 2)  # r is odd when delta = 0
-    for info, e, *conj in factors:
+    for info, e, conj in factors:
         p = info.p
-        if not e:
-            continue
-        if info.kind is SplitKind.INERT and p != 2:
-            raise ValueError(f"odd inert prime {p} has no degree-one ideal")
-        if info.kind is SplitKind.RAMIFIED and p == 2:
-            raise ValueError("a factor above 2 requires 2 inert or split")
-        if info.kind is not SplitKind.SPLIT:
-            continue
+        if info.kind is not SplitKind.SPLIT or e < 1:
+            raise ValueError(f"{p}^{e} is not a power of a split prime with exponent at least 1")
         n *= p**e
         # above 2 the root = 1 (mod 4), as in <2, (1 + sqrt(-m))/2>, needs one more power
         k = 2 * e + (p == 2)
         root = lift_root(mod, p, info.root, k)
-        r, modulus = crt(r, modulus, -root if any(conj) else root, p**k)
+        r, modulus = crt(r, modulus, -root if conj else root, p**k)
     if n == 1:
         return Triple(mod.m, 1, 0, 1)
     if modulus != n * n << (1 - mod.delta):
@@ -154,7 +146,7 @@ def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
     y = isqrt(y2)
     if rest or y * y != y2 or ((b - r * y) % modulus and (b + r * y) % modulus):
         raise NotTwoTorsionError("ideal product has no generator of the required norm")
-    return normalize(mod, b, y, n << (1 - mod.delta))
+    return normalize(mod.m, b, y, n << (1 - mod.delta))
 
 
 def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:

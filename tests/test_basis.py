@@ -80,19 +80,19 @@ class TestNormEquation:
 class TestLemmaOneTriple:
     def test_L0_prime(self):
         mod = Modulus(23)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 59), 1)]) == Triple(23, 13, 12, 59)
+        assert two_torsion_triple(mod, [(splitting_type(mod, 59), 1, False)]) == Triple(23, 13, 12, 59)
 
     def test_ramified_style_double_cover(self):
         mod = Modulus(35)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 3), 1)]) == Triple(35, 1, 1, 6)
+        assert two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)]) == Triple(35, 1, 1, 6)
 
     def test_split_two(self):
         mod = Modulus(7)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 2), 1)]) == Triple(7, 3, 1, 4)
+        assert two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)]) == Triple(7, 3, 1, 4)
 
     def test_pillar_power(self):
         mod = Modulus(974)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 5), 6)]) == Triple(974, 14651, 174, 15625)
+        assert two_torsion_triple(mod, [(splitting_type(mod, 5), 6, False)]) == Triple(974, 14651, 174, 15625)
 
     def test_conjugate_factor(self):
         # conjugating every factor yields the same positive-entry triple
@@ -102,24 +102,37 @@ class TestLemmaOneTriple:
     def test_rejects_non_two_torsion(self):
         mod = Modulus(23)
         with pytest.raises(NotTwoTorsionError):
-            two_torsion_triple(mod, [(splitting_type(mod, 3), 1)])  # class has order 3
+            two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)])  # class has order 3
 
     def test_rejects_odd_inert(self):
         mod = Modulus(23)
         with pytest.raises(ValueError):
-            two_torsion_triple(mod, [(splitting_type(mod, 5), 1)])
+            two_torsion_triple(mod, [(splitting_type(mod, 5), 1, False)])
 
     def test_rejects_ramified_two(self):
         mod = Modulus(974)
         with pytest.raises(ValueError):
-            two_torsion_triple(mod, [(splitting_type(mod, 2), 1)])
+            two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)])
 
     def test_rejects_repeated_prime(self):
         mod = Modulus(23)
         info = splitting_type(mod, 59)
         for conj in (False, True):
             with pytest.raises(ValueError):
-                two_torsion_triple(mod, [(info, 1), (info, 1, conj)])
+                two_torsion_triple(mod, [(info, 1, False), (info, 1, conj)])
+
+    @pytest.mark.parametrize("m,factors", [
+        (35, [(2, 1, False)]),
+        (35, [(5, 1, False)]),
+        (23, [(59, 0, False)]),
+        (23, [(59, 1, False), (59, 2, True)]),
+    ], ids=["inert-two", "ramified-odd", "zero-exponent", "repeated-prime"])
+    def test_rejects_all_but_distinct_split_primes_with_positive_exponents(self, m, factors):
+        # a ValueError, not the NotTwoTorsionError of a product of the right shape
+        mod = Modulus(m)
+        with pytest.raises(ValueError) as info:
+            two_torsion_triple(mod, [(splitting_type(mod, p), e, conj) for p, e, conj in factors])
+        assert type(info.value) is ValueError
 
     def test_empty_product_is_identity(self):
         mod = Modulus(23)
@@ -365,8 +378,8 @@ def scan_triples(mod, n):
 
 def scan_two_torsion_triples(mod, factors):
     """The scanned triples whose generator has valuation 2e at each odd factor (or all conjugates)."""
-    n = prod(f[0].p ** f[1] for f in factors)
-    odd = [(f[0], f[1], len(f) > 2 and f[2]) for f in factors if f[0].p != 2]
+    n = prod(info.p**e for info, e, _ in factors)
+    odd = [(info, e, conj) for info, e, conj in factors if info.p != 2]
 
     def matches(u, v):
         return all(ideal_valuation(mod, u, v, info, conj) == 2 * e for info, e, conj in odd)
@@ -383,9 +396,9 @@ def scan_beta(bt, p):
         return BasisElement(p, scan_triples(bt.mod, n)[0], cat, exps=exps)
     if cat is Category.PILLAR:
         pillar = next(pl for pl in bt.pillars if pl.p == p)
-        (t,) = scan_two_torsion_triples(bt.mod, [(pillar.info, pillar.order)])
+        (t,) = scan_two_torsion_triples(bt.mod, [(pillar.info, pillar.order, False)])
         return BasisElement(p, t, cat, pillar_index=pillar.index)
-    (t,) = scan_two_torsion_triples(bt.mod, [(splitting_type(bt.mod, p), 1)])
+    (t,) = scan_two_torsion_triples(bt.mod, [(splitting_type(bt.mod, p), 1, False)])
     return BasisElement(p, t, cat)
 
 
@@ -430,7 +443,7 @@ class TestAgainstScan:
                     continue
                 moved = [(pl, e) for e, pl in zip(bt.exponent_vector(p), bt.pillars) if e.a]
                 for flips in itertools.product((False, True), repeat=len(moved)):
-                    factors = [(splitting_type(mod, p), 1)]
+                    factors = [(splitting_type(mod, p), 1, False)]
                     cls = table.class_of_prime(p)
                     for (pl, e), conj in zip(moved, flips):
                         factors.append((pl.info, e.a, conj))

@@ -101,7 +101,9 @@ def concordant_compose(f, g):
     bb = 2 * (f.a * x * z + f.c * y * w) + f.b * (x * w + y * z)
     b0, _ = crt(bb % (2 * aa), 2 * aa, g.b % (2 * g.a), 2 * g.a)
     a0 = aa * g.a
-    return reduce_form(a0, b0, (b0 * b0 - d) // (4 * a0), d)
+    c0, rest = divmod(b0 * b0 - d, 4 * a0)
+    assert rest == 0, "the concordant forms have another discriminant"
+    return reduce_form(a0, b0, c0)
 
 def _peel_structure(elements, mul, ident):
     """Greedy maximal-order peeling of a finite abelian group.
@@ -186,16 +188,12 @@ class TestReduceForm:
         [((1, 1, 6), (1, 1, 6)), ((3, 1, 2), (2, -1, 3)), ((2, 1, 3), (2, 1, 3))],
     )
     def test_disc_minus_23(self, form, want):
-        got = reduce_form(*form, disc=-23)
-        assert (got.a, got.b, got.c) == want
+        got = reduce_form(*form)
+        assert (got.a, got.b, got.c, got.disc) == (*want, -23)
 
     def test_orbit_oracle(self):
         orbit = equivalent_reduced_by_moves(3, 1, 2, coeff_cap=40)
         assert orbit == {(2, -1, 3)}
-
-    def test_discriminant_mismatch(self):
-        with pytest.raises(DiscriminantMismatchError):
-            reduce_form(1, 1, 6, disc=-35)
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -339,6 +337,19 @@ class TestEnumerate:
     )
     def test_structure_examples_of_higher_rank(self, m, want):
         assert ClassGroupTable(Modulus(m)).structure == want
+
+    def test_structure_doubles_the_square_factors(self):
+        # Cl's invariant factors are those of Cl^2, padded with 1s to the
+        # 2-rank r and doubled in the first r places; Cl^2 is peeled apart
+        moduli = [m for m in range(5, 400) if is_squarefree(m)] + [974, 2437, 3299, 3886, 30030]
+        for m in moduli:
+            table = ClassGroupTable(Modulus(m))
+            rank = len(table.twotorsion).bit_length() - 1
+            padded = table.square_factors + (1,) * (rank - len(table.square_factors))
+            assert table.structure == tuple(2 * n for n in padded[:rank]) + padded[rank:], m
+            squares = sorted({compose_forms(f, f) for f in table.forms})
+            peeled = _peel_structure(squares, compose_forms, table.identity)
+            assert table.square_factors == tuple(n for _, n in peeled), m
 
     def test_structure_and_orders_match_peel_oracle(self):
         # 30030, 46189 and 62790 have 2-rank 5, 4 and 5: most of their

@@ -200,6 +200,29 @@ class TestExitCodes:
         assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
 
+class TestInputBeforeClassGroup:
+    # a malformed triple or a non-prime p exits before the class group is built
+    @pytest.mark.parametrize("argv,want", [
+        (["decompose", "-m", "9996032471", "a,b,c"], (2, "error: invalid literal for int() with base 10: 'a'\n")),
+        (["beta", "-m", "9996032471", "4"], (2, "error: 4 is not prime\n")),
+        (["decompose", "-m", "9996032471", "1,1,1"],
+         (3, "error: (1, 1, 1) does not solve x^2 + 9996032471y^2 = z^2\n")),
+        # a bad pillar and a bad triple together: the triple is reported
+        (["decompose", "-m", "974", "1,1,1", "--pillar", "7"],
+         (3, "error: (1, 1, 1) does not solve x^2 + 974y^2 = z^2\n")),
+    ], ids=["malformed-triple", "non-prime-p", "not-a-solution", "bad-pillar-and-triple"])
+    def test_no_class_group(self, capsys, monkeypatch, argv, want):
+        built = []
+        monkeypatch.setattr(aptgroup.basis, "ClassGroupTable", lambda mod: built.append(mod))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == want and out == "" and built == []
+
+    def test_modulus_errors_still_come_first(self, capsys):
+        assert run(capsys, "decompose", "-m", "12", "a,b,c") == (
+            2, "", "error: modulus must be square-free, got 12\n")
+        assert run(capsys, "beta", "-m", "12", "4") == (2, "", "error: modulus must be square-free, got 12\n")
+
+
 class TestBetaCommand:
     def test_single_value(self, capsys, tmp_path):
         code, out, _ = run(capsys, "beta", "-m", "974", "37", "--cache-dir", str(tmp_path))

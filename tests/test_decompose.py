@@ -270,7 +270,20 @@ class TestDecompose:
         bt = BasisTable(Modulus(7))
         d = decompose(bt, Triple(7, 1, 3, 8))
         assert d.terms == () and d.special_coeff == 2
-        assert recombine(bt, d) == Triple(7, 1, 3, 8)
+        assert recombine(bt, d.coefficients(), d.special_coeff) == Triple(7, 1, 3, 8)
+
+    @pytest.mark.parametrize("m", [7, 15])
+    def test_special_coefficient_adds_to_that_of_two(self, m):
+        # [q, r, 4] is beta(2) at m = 7 and 15
+        bt = BasisTable(Modulus(m))
+        rng = random.Random(m)
+        for _ in range(20):
+            x, y = (rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(2))
+            rest = {p: rng.randint(-9, 9) for p in rng.sample(bt.split_primes(200)[1:], 2)}
+            assert recombine(bt, {2: x}, y) == recombine(bt, {2: x + y}), (m, x, y)
+            assert recombine(bt, {**rest, 2: x}, y) == recombine(bt, {**rest, 2: x + y}), (m, rest, x, y)
+            d = decompose(bt, recombine(bt, {**rest, 2: x}, y))
+            assert (d.coefficients(), d.special_coeff) == ({p: s for p, s in rest.items() if s}, x + y)
 
     def test_special_coefficient_m15(self):
         bt = BasisTable(Modulus(15))
@@ -285,7 +298,7 @@ class TestDecompose:
         assert dict(d2.terms) == {2: 1}
         d3 = decompose(tables23[3], t)
         assert dict(d3.terms) == {2: -3, 3: -1}
-        assert recombine(tables23[3], d3) == t
+        assert recombine(tables23[3], d3.coefficients()) == t
 
     @pytest.mark.parametrize(
         "m,t,want",

@@ -1,4 +1,4 @@
-"""Print eleven SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print twelve SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -39,7 +39,11 @@ triples beta(p), p <= 200, at m = 7, 15, 23, 35 and 974 (the special
 element among them, as beta(2), at m = 7 and 15).  The same eleventh
 digest means the same exit code, stdout and stderr of CLI_CALLS, run in
 this process: the commands of bench/data/cli_mix.json and an error path
-of every subcommand.  It takes about thirteen seconds.
+of every subcommand.  The same twelfth digest means the same recombine
+and decomposition of 40 seeded vectors per modulus at m = 7 and 15, each
+with a coefficient at 2, where beta(2) is the [q, r, 4] element, and a
+special coefficient given together, up to 30 in size.  It takes about
+thirteen seconds.
 """
 
 import contextlib
@@ -320,6 +324,19 @@ def scalar_mul_records():
                 yield m, el.p, n, hex(t.a), hex(t.b), hex(t.c)
 
 
+def special_records():
+    for m in (7, 15):
+        bt = BasisTable(Modulus(m))
+        primes = bt.split_primes(200)
+        rng = random.Random(m)
+        for _ in range(40):
+            vec = {p: rng.randint(-30, 30) for p in rng.sample(primes, rng.randint(1, 3))}
+            vec[2] = rng.choice((-1, 1)) * rng.randint(1, 30)
+            special = rng.choice((-1, 1)) * rng.randint(1, 30)
+            t = recombine(bt, vec, special)
+            yield m, sorted(vec.items()), special, t, decompose(bt, t).to_json_dict()
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -340,6 +357,7 @@ def main():
     print(digest(two_torsion_records()))
     print(digest(scalar_mul_records()))
     print(digest(cli_call_records()))
+    print(digest(special_records()))
 
 
 if __name__ == "__main__":
