@@ -19,8 +19,12 @@ Each triple comes from the generator of a squared ideal, found by
 Cornacchia's algorithm (two_torsion_triple): the squared ideal is the
 Gauss composition of the forms of its prime-power factors
 (classgroup.prime_form and united), and Cornacchia takes one Euclid run
-per admissible pattern.  A table computes each beta(p) once, from one record
-of the splitting data of p: BasisTable.beta proves p prime, while
+per admissible pattern.  A table reads all it needs of p off one form,
+prime_form(p, 2), the square of the ideal over p: reduced, it is the image
+of p in Cl^2, which gives the category and the quotient coordinates;
+unreduced, it starts the composition.  The forms of the pillar powers are
+lifted once per table and exponent.  A table computes each beta(p) once,
+from one record of the splitting data of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
 factorize, proved already, prove none.
 The image of beta generates the triple group freely; for m in {7, 15}
@@ -35,7 +39,16 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .classgroup import ClassGroupTable, Pillar, QuotientData, prime_form, quotient_setup, united
+from .classgroup import (
+    ClassGroupTable,
+    FormClass,
+    Pillar,
+    QuotientData,
+    prime_form,
+    quotient_setup,
+    reduce_form,
+    united,
+)
 from .primes import primes_up_to
 from .quadfield import Modulus, PrimeSplitInfo, SplitKind, splitting_type
 from .quadfield import _legendre, _split_info
@@ -162,6 +175,15 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
         a, b, c = prime_form(mod, info, 2 * e)
         f = (a, -b, c) if conj else (a, b, c)
         form = f if form is None else united(form, f)
+    return _generator_triple(mod, form, n)
+
+
+def _generator_triple(mod: Modulus, form: tuple[int, int, int], n: int) -> Triple:
+    """The triple of the generator of I^2, given the unreduced form (n^2, B, C) of its conjugate.
+
+    Cornacchia's algorithm, as two_torsion_triple states it; raises
+    NotTwoTorsionError when I^2 has no generator.
+    """
     modulus = form[0] << (1 - mod.delta)
     r = (form[1] >> mod.delta) % modulus
     # Cornacchia: Euclid on (modulus, r) down to the square root of the norm
@@ -211,6 +233,7 @@ class BasisTable:
         self.table = table if table is not None else ClassGroupTable(mod)
         self.quotient: QuotientData = quotient_setup(self.table, pillars)
         self._beta: dict[int, BasisElement] = {}
+        self._pillar_forms: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     @property
     def pillars(self) -> tuple[Pillar, ...]:
@@ -220,11 +243,8 @@ class BasisTable:
         return split_primes(self.mod, bound)
 
     def two_torsion_primes(self, bound: int) -> list[int]:
-        return [
-            p
-            for p in self.split_primes(bound)
-            if self.table.in_two_torsion(self.table._class_of(_split_info(self.mod, p)))
-        ]
+        ident = self.table.identity
+        return [p for p in self.split_primes(bound) if self._squared(_split_info(self.mod, p))[1] == ident]
 
     def special(self) -> Triple | None:
         return special_four_element(self.mod)
@@ -249,39 +269,68 @@ class BasisTable:
         """beta(p) for a p already proved prime, which is not proved again."""
         return self._beta.get(p) or self._compute_beta(_split_info(self.mod, p))
 
+    def _squared(self, info: PrimeSplitInfo) -> tuple[tuple[int, int, int], FormClass]:
+        """prime_form(p, 2), the conjugate of the square of the chosen ideal over p, and its class.
+
+        That class is the image of p in Cl^2, the square of class_of_prime(p),
+        and p is two-torsion exactly when it is the identity.
+        """
+        own = prime_form(self.mod, info, 2)
+        return own, reduce_form(*own)
+
+    def _pillar_form(self, j: int, a: int, conj: bool) -> tuple[int, int, int]:
+        """prime_form(pillar j, 2a), b negated for the conjugate; lifted once per (j, a)."""
+        f = self._pillar_forms.get((j, a))
+        if f is None:
+            f = self._pillar_forms[j, a] = prime_form(self.mod, self.pillars[j - 1].info, 2 * a)
+        return (f[0], -f[1], f[2]) if conj else f
+
     def _compute_beta(self, info: PrimeSplitInfo) -> BasisElement:
         """beta(p) from the splitting data of p, stored in the memo.
 
-        The class of the ideal above p gives the category.  For a composite
-        p each coordinate b of the inverse image class is folded into
-        min(b, h - b) with a conjugate flag when the upper half was taken;
-        ties at exactly h/2 prefer the unconjugated pillar.  The triple is
-        the smallest, by (a, c), over the admissible conjugation patterns.
-        The canonical flags put the product into 2-torsion.  Flipping pillar
-        j moves its class by the pillar's class to the power -+2a, which by
+        A pillar p takes the 2h-th power of its ideal, h its order.  Any
+        other p reads its category off one form, prime_form(p, 2), whose
+        class is the image of p in Cl^2: the identity for a two-torsion p.
+        For a composite p each quotient coordinate b of the inverse image is
+        folded into min(b, h - b) with a conjugate flag when the upper half
+        was taken; ties at exactly h/2 prefer the unconjugated pillar.  The
+        canonical flags put the product into 2-torsion.  Flipping pillar j
+        moves its class by the pillar's class to the power -+2a, which by
         the independence of the pillar images stays 2-torsion iff 2a = h.
+        The unreduced prime_form(p, 2) starts the composition, by united, of
+        each admissible conjugation pattern of the pillar factors, and the
+        triple is the smallest, by (a, c), of their generators.
         """
         p = info.p
         if info.kind is not SplitKind.SPLIT:
             raise ValueError(f"{p} does not split: beta({p}) is undefined")
-        fp = self.table._class_of(info)
         index = next((pl.index for pl in self.pillars if pl.p == p), None)
-        if self.table.in_two_torsion(fp):
-            cat, own, exps = Category.TWO_TORSION, (info, 1, False), ()
-        elif index is not None:
-            cat, own, exps = Category.PILLAR, (info, self.pillars[index - 1].order, False), ()
+        if index is not None:
+            k = self.pillars[index - 1].order
+            cat, own, exps = Category.PILLAR, prime_form(self.mod, info, 2 * k), ()
         else:
-            cat, own = Category.COMPOSITE, (info, 1, False)
-            exps = tuple(
-                ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
-                for b, pl in zip(self.quotient.coords(fp.inverse()), self.pillars)
-            )
+            k = 1
+            own, image = self._squared(info)
+            if image == self.table.identity:
+                cat, exps = Category.TWO_TORSION, ()
+            else:
+                cat = Category.COMPOSITE
+                exps = tuple(
+                    ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
+                    for b, pl in zip(self.quotient.image_coords(image.inverse()), self.pillars)
+                )
         choices = [
-            [(pl.info, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
+            [(e.j, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
             for e, pl in zip(exps, self.pillars)
             if e.a
         ]
-        found = [two_torsion_triple(self.mod, [own, *pat]) for pat in itertools.product(*choices)]
+        found = []
+        for pattern in itertools.product(*choices):
+            form, n = own, p**k
+            for j, a, conj in pattern:
+                form = united(form, self._pillar_form(j, a, conj))
+                n *= self.pillars[j - 1].p ** a
+            found.append(_generator_triple(self.mod, form, n))
         triple = min(found, key=lambda t: (t.a, t.c))
         return self._beta.setdefault(p, BasisElement(p, triple, cat, index, exps))
 

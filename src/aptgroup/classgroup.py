@@ -403,7 +403,9 @@ class QuotientData:
     Squaring maps Cl onto its subgroup of squares with kernel Cl[2], so the
     quotient is presented as that subgroup: the image of a class f is
     f * f, and its size and invariant factors are those of the table's
-    walks of Cl^2.  The pillar primes, an override in the given order or
+    walks of Cl^2.  The image of a split prime p is the class of
+    prime_form(p, 2), the square of its ideal, so it is reduced, not
+    composed.  The pillar primes, an override in the given order or
     the default two-phase choice, go through one construction: it grows
     the coordinates factor by factor and checks the internal direct sum,
     as |A * B| = |A| |B| exactly when A and B meet only in the identity.
@@ -428,9 +430,8 @@ class QuotientData:
             info = _split_info(table.mod, p)
             if info.kind is not SplitKind.SPLIT:
                 raise PillarConfigError(f"pillar prime {p} does not split")
-            form = table._class_of(info)
             if powers is None:
-                powers = table.powers(compose_forms(form, form))
+                powers = table.powers(reduce_form(*prime_form(table.mod, info, 2)))
             if len(powers) == 1:
                 raise PillarConfigError(f"pillar prime {p} has trivial quotient image")
             grown = {
@@ -441,7 +442,7 @@ class QuotientData:
             if len(grown) != len(coords) * len(powers):
                 raise PillarConfigError(f"pillar prime {p} is not independent of the others")
             coords = grown
-            pillars.append(Pillar(j, p, info, len(powers), form))
+            pillars.append(Pillar(j, p, info, len(powers), table._class_of(info)))
         if len(coords) != self.size:
             raise PillarConfigError(
                 f"pillar images span {len(coords)} of {self.size} quotient classes"
@@ -456,14 +457,17 @@ class QuotientData:
         of the invariant factors (q ascending, powers descending), the
         smallest split prime whose image (the square of its class) has
         order q^k and whose span meets the skeleton of q so far only in the
-        identity.  The j-th skeleton images of the q dividing factor j
-        (both lists descend) multiply to a generator g of that cyclic
-        factor, of order tau.  Phase two picks the smallest split prime
+        identity.  When q divides one invariant factor alone, the q-part is
+        cyclic and any element of order q^k spans it, so the skeleton takes
+        one off the table's walks and scans no prime; phase two's targets,
+        and so the picks, are the same.  The j-th skeleton images of the q
+        dividing factor j (both lists descend) multiply to a generator g of
+        that cyclic factor, of order tau.  Phase two picks the smallest split prime
         whose image x = g^s generates it, gcd(s, tau) = 1, which exists by
         Chebotarev density.  Both phases draw the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
-        costs one composition, its image; every span is read off the
-        table's walks, which costs none.
+        costs no composition: its image is the reduced prime_form(p, 2).
+        Every span is read off the table's walks, which costs none.
         """
         ident = self.identity
         slots: list[tuple[int, int]] = []
@@ -479,8 +483,7 @@ class QuotientData:
             while True:
                 if i == len(scanned):
                     info = next(stream)
-                    f = table._class_of(info)
-                    scanned.append((info.p, compose_forms(f, f)))
+                    scanned.append((info.p, reduce_form(*prime_form(table.mod, info, 2))))
                 yield scanned[i]
                 i += 1
 
@@ -488,6 +491,11 @@ class QuotientData:
         skeleton: dict[int, list[FormClass]] = {}
         acc_by_q: dict[int, frozenset[FormClass]] = {}
         for q, qk in slots:
+            if sum(1 for s in slots if s[0] == q) == 1:
+                # the q-part is cyclic: any element of order q^k spans it, so none is scanned
+                walk = next(w for w, _ in table._walks.values() if len(w) % qk == 0)
+                skeleton[q] = [walk[len(walk) // qk]]
+                continue
             acc = acc_by_q.get(q, frozenset({ident}))
             for _, image in candidates():
                 if table.order_of(image) == qk:
@@ -514,6 +522,10 @@ class QuotientData:
     def coords(self, f: FormClass) -> tuple[int, ...]:
         """Exponents of the image of f over the pillar images, one per factor."""
         return self._coords[compose_forms(f, f)]
+
+    def image_coords(self, x: FormClass) -> tuple[int, ...]:
+        """Exponents of x, a class of Cl^2, over the pillar images, one per factor."""
+        return self._coords[x]
 
 
 def quotient_setup(

@@ -10,6 +10,7 @@ within RHO_BUDGET steps raises FactoringBudgetError.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -117,9 +118,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (empty list for bound < 2)."""
-    if bound < 2:
-        return []
+    """All primes <= bound, ascending; below 1000 a slice of the trial primes, sieved once."""
+    if bound < 1000:
+        return list(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, bound)])
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(bound) + 1):

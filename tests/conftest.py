@@ -1,13 +1,14 @@
+import itertools
 import os
 from math import gcd, isqrt
 
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
-from aptgroup.basis import BasisElement, Category, NotTwoTorsionError
+from aptgroup.basis import BasisElement, Category, ExpEntry, NotTwoTorsionError, two_torsion_triple
 from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
-from aptgroup.primes import factorize
-from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root
+from aptgroup.primes import factorize, is_prime
+from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root, splitting_type
 from aptgroup.triples import add, identity, normalize
 
 # The Hypothesis tests keep no example database (database=None); Hypothesis
@@ -161,6 +162,90 @@ def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:
             base = compose_forms(base, base)
         n >>= 1
     return result
+
+
+def class_route_beta(basis: BasisTable, p: int) -> BasisElement:
+    """beta(p) through the class of p in Cl: class_of_prime, QuotientData.coords, two_torsion_triple.
+
+    The oracle for BasisTable.beta, which reads the category and the
+    coordinates off the one form prime_form(p, 2) and composes the pillar
+    factors onto it itself.  Same rule: a class in Cl[2] is two-torsion, a
+    pillar takes its order as exponent, and a composite p folds each
+    coordinate of the inverse class b into min(b, h - b), flagged when
+    b > h/2; the triple is the smallest, by (a, c), over the admissible
+    conjugation patterns.
+    """
+    mod, table, quotient = basis.mod, basis.table, basis.quotient
+    info = splitting_type(mod, p)
+    fp = table.class_of_prime(p)
+    pillar = next((pl for pl in quotient.pillars if pl.p == p), None)
+    if table.in_two_torsion(fp):
+        cat, own, exps = Category.TWO_TORSION, (info, 1, False), ()
+    elif pillar is not None:
+        cat, own, exps = Category.PILLAR, (info, pillar.order, False), ()
+    else:
+        cat, own = Category.COMPOSITE, (info, 1, False)
+        exps = tuple(
+            ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
+            for b, pl in zip(quotient.coords(fp.inverse()), quotient.pillars)
+        )
+    choices = [
+        [(pl.info, e.a, conj) for conj in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
+        for e, pl in zip(exps, quotient.pillars)
+        if e.a
+    ]
+    found = [two_torsion_triple(mod, [own, *pattern]) for pattern in itertools.product(*choices)]
+    triple = min(found, key=lambda t: (t.a, t.c))
+    return BasisElement(p, triple, cat, pillar.index if pillar else None, exps)
+
+
+def two_phase_pillars(table: ClassGroupTable) -> list[int]:
+    """The default pillar primes by the full two-phase rule, every image the square of class_of_prime.
+
+    The oracle for the default choice of QuotientData, which scans no prime
+    in phase one for a cyclic q-part and reduces prime_form(p, 2) for an
+    image.  Phase one scans the split primes, ascending, for every slot q^k
+    of the invariant factors of Cl^2 (q ascending, powers descending): the
+    first image of order q^k whose span meets the skeleton of q so far only
+    in the identity.  Phase two multiplies the j-th skeleton images into a
+    generator g of factor j and takes the first scanned image of the
+    factor's order in the span of g.
+    """
+    ident = table.identity
+    slots = sorted(
+        ((q, q**e) for tau in table.square_factors for q, e in factorize(tau).items()),
+        key=lambda s: (s[0], -s[1]),
+    )
+    split = (p for p in itertools.count(2) if is_prime(p) and kronecker(table.mod, p) == 1)
+    scanned = []
+
+    def candidates():
+        for i in itertools.count():
+            if i == len(scanned):
+                p = next(split)
+                f = table.class_of_prime(p)
+                scanned.append((p, compose_forms(f, f)))
+            yield scanned[i]
+
+    skeleton: dict[int, list[FormClass]] = {}
+    acc_by_q: dict[int, set[FormClass]] = {}
+    for q, qk in slots:
+        acc = acc_by_q.get(q, {ident})
+        for _, image in candidates():
+            if table.order_of(image) == qk:
+                span = table.powers(image)
+                if acc.isdisjoint(span[1:]):
+                    skeleton.setdefault(q, []).append(image)
+                    acc_by_q[q] = {compose_forms(x, y) for x in acc for y in span}
+                    break
+    picks = []
+    for j, tau in enumerate(table.square_factors):
+        g = ident
+        for q in factorize(tau):
+            g = compose_forms(g, skeleton[q][j])
+        target = set(table.powers(g))
+        picks.append(next(p for p, x in candidates() if x in target and table.order_of(x) == tau))
+    return picks
 
 
 def third_shape(el: BasisElement) -> dict[int, int]:

@@ -2,7 +2,7 @@ import itertools
 from math import gcd, prod
 
 import pytest
-from conftest import crt_two_torsion_triple, form_power, ideal_valuation, third_shape
+from conftest import class_route_beta, crt_two_torsion_triple, form_power, ideal_valuation, third_shape
 
 from aptgroup.basis import (
     BasisElement,
@@ -15,7 +15,8 @@ from aptgroup.basis import (
     two_torsion_triple,
 )
 from aptgroup import classgroup, primes, quadfield
-from aptgroup.classgroup import compose_forms
+from aptgroup.classgroup import ClassGroupTable, compose_forms
+from aptgroup.fixtures import BETA23_PILLAR2, BETA23_PILLAR3
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
 from aptgroup.quadfield import Modulus, splitting_type
@@ -461,6 +462,39 @@ class TestAgainstScan:
                         assert [two_torsion_triple(mod, factors)] == scan_two_torsion_triples(mod, factors)
                     shapes.add(len(moved))
         assert shapes == {1, 2}
+
+
+class TestClassRoute:
+    """beta read off prime_form(p, 2) is beta through the class of p in Cl."""
+
+    def test_default_pillars(self):
+        for m in SWEEP:
+            bt = BasisTable(Modulus(m))
+            for p in bt.split_primes(200):
+                assert bt.beta(p) == class_route_beta(bt, p), (m, p)
+
+    @pytest.mark.parametrize("m,pillars", [(23, (3,)), (974, (5, 41))])
+    def test_pillar_overrides(self, m, pillars):
+        bt = BasisTable(Modulus(m), pillars)
+        assert [pl.p for pl in bt.pillars] == list(pillars)
+        for p in bt.split_primes(200):
+            assert bt.beta(p) == class_route_beta(bt, p), (m, p)
+
+    @pytest.mark.parametrize("first", [(2,), (3,)])
+    def test_pillar_forms_are_kept_per_table(self, first):
+        # the default table of 23 has pillar 2; an override on the same
+        # class group must not read the default's memoized pillar powers
+        mod = Modulus(23)
+        table = ClassGroupTable(mod)
+        bts = {(2,): BasisTable(mod, table=table), (3,): BasisTable(mod, (3,), table=table)}
+        want = {(2,): BETA23_PILLAR2, (3,): BETA23_PILLAR3}
+        assert [pl.p for pl in bts[(2,)].pillars] == [2]
+        for key in sorted(bts, key=lambda k: k != first):
+            for p, t in want[key].items():
+                got = bts[key].beta(p).triple
+                assert (got.a, got.b, got.c) == t, (key, p)
+        assert bts[(2,)]._pillar_forms.keys() == bts[(3,)]._pillar_forms.keys() == {(1, 1)}
+        assert bts[(2,)]._pillar_forms != bts[(3,)]._pillar_forms
 
 
 def _outcome(route, mod, factors):

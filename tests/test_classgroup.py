@@ -5,7 +5,7 @@ import weakref
 from math import gcd, isqrt, lcm
 
 import pytest
-from conftest import crt, form_power, xgcd
+from conftest import crt, form_power, two_phase_pillars, xgcd
 
 from aptgroup import classgroup
 from aptgroup.basis import BasisTable
@@ -686,10 +686,10 @@ class TestQuotient:
     def test_compositions_at_most_two_per_class_and_one_per_scanned_prime(self, monkeypatch, m, size):
         q, compose, scanned = self.counted_quotient(monkeypatch, m)
         assert q.size == size and q.invariant_factors == (size,)
-        assert 0 < compose <= 2 * size + scanned
-        # a cyclic quotient of odd prime-power order: one image per scanned
-        # prime, and the pillar image's powers are read off the table's walk
-        assert compose == scanned
+        # a cyclic quotient of odd prime-power order: phase one scans nothing,
+        # a scanned prime's image is reduced from its squared prime form, and
+        # the pillar image's powers are read off the table's walk
+        assert scanned > 0 and compose == 0
 
     def test_composite_cyclic_factor_is_walked_once(self, monkeypatch):
         # C1275 = C3 x C25 x C17: its generator is walked once, and the
@@ -697,6 +697,14 @@ class TestQuotient:
         q, compose, scanned = self.counted_quotient(monkeypatch, 10000019)
         assert q.invariant_factors == (1275,)
         assert 0 < compose <= q.size + scanned
+
+    def test_default_pillars_match_the_two_phase_rule(self):
+        # a cyclic q-part takes its skeleton element off the walks; the
+        # oracle scans split primes for it, and the pillars are the same
+        moduli = [m for m in range(5, 1000) if is_squarefree(m)] + [10000019]
+        for m in moduli:
+            table = ClassGroupTable(Modulus(m))
+            assert [pl.p for pl in quotient_setup(table).pillars] == two_phase_pillars(table), m
 
     def test_class_mod_two_torsion(self):
         table = ClassGroupTable(Modulus(974))
