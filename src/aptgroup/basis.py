@@ -18,12 +18,15 @@ triple, built from a prime-ideal product whose class is 2-torsion:
 Each triple comes from the generator of a squared ideal, found by
 Cornacchia's algorithm (two_torsion_triple): the squared ideal is the
 Gauss composition of the forms of its prime-power factors
-(classgroup.prime_form and united), and Cornacchia takes one Euclid run
-per admissible pattern.  A table reads all it needs of p off one form,
-prime_form(p, 2), the square of the ideal over p: reduced, it is the image
-of p in Cl^2, which gives the category and the quotient coordinates;
-unreduced, it starts the composition.  The forms of the pillar powers are
-lifted once per table and exponent.  A table computes each beta(p) once,
+(classgroup.prime_form and united).  A table reads all it needs of p off
+one form, prime_form(p, 2), the square of the ideal over p: reduced, it is
+the image of p in Cl^2, which gives the category; unreduced, it is the
+form of the factor over p.  The pillar exponents and flags of a composite
+p depend only on that image, so a table builds the pillar part of the
+squared ideal once per class of Cl^2, one united form per admissible
+pattern, and a composite beta costs one composition and one Euclid run
+per pattern (one, but for a tie at half a pillar order).  A pillar or
+two-torsion beta costs one Euclid run.  A table computes each beta(p) once,
 from one record of the splitting data of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
 factorize, proved already, prove none.
@@ -36,7 +39,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import reduce
+from math import gcd, isqrt, prod
 from typing import Iterable, Sequence
 
 from .classgroup import (
@@ -106,6 +110,10 @@ class ExpEntry:
     j: int  # 1-based pillar index
     a: int
     conj: bool
+
+
+# a composite beta's pillar exponents, pillar norm and pillar forms, one per admissible pattern
+Cofactor = tuple[tuple[ExpEntry, ...], int, tuple[tuple[int, int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,9 @@ class BasisTable:
         self.table = table if table is not None else ClassGroupTable(mod)
         self.quotient: QuotientData = quotient_setup(self.table, pillars)
         self._beta: dict[int, BasisElement] = {}
+        self._pillar_of: dict[int, Pillar] = {pl.p: pl for pl in self.pillars}
         self._pillar_forms: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._cofactors: dict[FormClass, Cofactor] = {}
 
     @property
     def pillars(self) -> tuple[Pillar, ...]:
@@ -285,54 +295,68 @@ class BasisTable:
             f = self._pillar_forms[j, a] = prime_form(self.mod, self.pillars[j - 1].info, 2 * a)
         return (f[0], -f[1], f[2]) if conj else f
 
+    def _cofactor(self, image: FormClass) -> Cofactor:
+        """The pillar part of every composite beta whose image in Cl^2 is image, built once per class.
+
+        Each quotient coordinate b of the inverse image is folded into
+        min(b, h - b) with a conjugate flag when the upper half was taken;
+        ties at exactly h/2 prefer the unconjugated pillar.  The canonical
+        flags put the product into 2-torsion.  Flipping pillar j moves its
+        class by the pillar's class to the power -+2a, which by the
+        independence of the pillar images stays 2-torsion iff 2a = h.
+        Returns the exponents, the pillar norm prod p_j^a_j and, for each
+        admissible conjugation pattern, the unreduced united form of the
+        pillar factors prime_form(p_j, 2a_j).
+        """
+        entry = self._cofactors.get(image)
+        if entry is None:
+            exps = tuple(
+                ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
+                for b, pl in zip(self.quotient.image_coords(image.inverse()), self.pillars)
+            )
+            choices = [
+                [(e.j, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
+                for e, pl in zip(exps, self.pillars)
+                if e.a
+            ]
+            forms = tuple(
+                reduce(united, (self._pillar_form(*factor) for factor in pattern))
+                for pattern in itertools.product(*choices)
+            )
+            n = prod(pl.p**e.a for e, pl in zip(exps, self.pillars))
+            entry = self._cofactors[image] = (exps, n, forms)
+        return entry
+
     def _compute_beta(self, info: PrimeSplitInfo) -> BasisElement:
         """beta(p) from the splitting data of p, stored in the memo.
 
-        A pillar p takes the 2h-th power of its ideal, h its order.  Any
-        other p reads its category off one form, prime_form(p, 2), whose
-        class is the image of p in Cl^2: the identity for a two-torsion p.
-        For a composite p each quotient coordinate b of the inverse image is
-        folded into min(b, h - b) with a conjugate flag when the upper half
-        was taken; ties at exactly h/2 prefer the unconjugated pillar.  The
-        canonical flags put the product into 2-torsion.  Flipping pillar j
-        moves its class by the pillar's class to the power -+2a, which by
-        the independence of the pillar images stays 2-torsion iff 2a = h.
-        The unreduced prime_form(p, 2) starts the composition, by united, of
-        each admissible conjugation pattern of the pillar factors, and the
-        triple is the smallest, by (a, c), of their generators.
+        One branch per category, each ending in Cornacchia's algorithm.  A
+        pillar p, of order h, takes one run on prime_form(p, 2h).  Any other
+        p reads its category off one form, prime_form(p, 2), whose class is
+        the image of p in Cl^2: the identity for a two-torsion p, which takes
+        one run on that form.  A composite p takes the pillar cofactor of
+        its image (_cofactor), united with the unreduced prime_form(p, 2),
+        and one run per admissible pattern; when a tie 2a = h admits more
+        than one, the triple is the smallest, by (a, c), of their generators.
         """
         p = info.p
         if info.kind is not SplitKind.SPLIT:
             raise ValueError(f"{p} does not split: beta({p}) is undefined")
-        index = next((pl.index for pl in self.pillars if pl.p == p), None)
-        if index is not None:
-            k = self.pillars[index - 1].order
-            cat, own, exps = Category.PILLAR, prime_form(self.mod, info, 2 * k), ()
+        pillar = self._pillar_of.get(p)
+        if pillar is not None:
+            k = pillar.order
+            triple = _generator_triple(self.mod, prime_form(self.mod, info, 2 * k), p**k)
+            el = BasisElement(p, triple, Category.PILLAR, pillar.index)
         else:
-            k = 1
             own, image = self._squared(info)
             if image == self.table.identity:
-                cat, exps = Category.TWO_TORSION, ()
+                el = BasisElement(p, _generator_triple(self.mod, own, p), Category.TWO_TORSION)
             else:
-                cat = Category.COMPOSITE
-                exps = tuple(
-                    ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
-                    for b, pl in zip(self.quotient.image_coords(image.inverse()), self.pillars)
-                )
-        choices = [
-            [(e.j, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
-            for e, pl in zip(exps, self.pillars)
-            if e.a
-        ]
-        found = []
-        for pattern in itertools.product(*choices):
-            form, n = own, p**k
-            for j, a, conj in pattern:
-                form = united(form, self._pillar_form(j, a, conj))
-                n *= self.pillars[j - 1].p ** a
-            found.append(_generator_triple(self.mod, form, n))
-        triple = min(found, key=lambda t: (t.a, t.c))
-        return self._beta.setdefault(p, BasisElement(p, triple, cat, index, exps))
+                exps, n, forms = self._cofactor(image)
+                found = [_generator_triple(self.mod, united(own, f), p * n) for f in forms]
+                triple = found[0] if len(found) == 1 else min(found, key=lambda t: (t.a, t.c))
+                el = BasisElement(p, triple, Category.COMPOSITE, None, exps)
+        return self._beta.setdefault(p, el)
 
     def elements(self, bound: int) -> list[BasisElement]:
         """beta(p) for every split prime p up to bound, ascending.

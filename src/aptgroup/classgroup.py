@@ -181,8 +181,11 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     divides n exactly when b = +-r (mod q) with r^2 = disc (mod q), so each
     q is divided out, completely, of every second or q-th n alone, and once
     every prime up to sqrt(max n) is out what is left of each n is 1 or a
-    prime.  That is O(sqrt|disc| log log|disc|) divisions, plus one
-    square root mod q for each odd prime q up to sqrt(|disc|/3).
+    prime above sqrt(n), never a candidate a.  That is
+    O(sqrt|disc| log log|disc|) divisions, plus one square root mod q for
+    each odd prime q up to sqrt(|disc|/3).  The divisors up to sqrt(n) are
+    built prime power by prime power over the factors, which ascend, so
+    the first factor above sqrt(n) ends the list.
     """
     b0 = disc % 2
     ns = [(b * b - disc) // 4 for b in range(b0, isqrt(-disc // 3) + 1, 2)]
@@ -209,12 +212,17 @@ def _enumerate_reduced(disc: int) -> list[FormClass]:
     out = []
     for i, n in enumerate(ns):
         b = b0 + 2 * i
-        if rest[i] > 1:
-            factors[i].append((rest[i], 1))
         top = isqrt(n)
         divisors = [1]
         for q, e in factors[i]:
-            divisors += [d * q**k for k in range(1, e + 1) for d in divisors if d * q**k <= top]
+            if q > top:
+                break
+            multiples = divisors
+            for _ in range(e):
+                multiples = [d * q for d in multiples if d * q <= top]
+                if not multiples:
+                    break
+                divisors += multiples
         for a in divisors:
             if a < b:
                 continue
@@ -338,9 +346,6 @@ class ClassGroupTable:
         n = len(walk)
         return [walk[k * e % n] for e in range(n // gcd(n, k))]
 
-    def in_two_torsion(self, f: FormClass) -> bool:
-        return _is_ambiguous(f)
-
     def class_of_prime(self, p: int) -> FormClass:
         """The class of prime_form(p), that of the conjugate <p, -r + sqrt(-m)> of the chosen ideal.
 
@@ -382,6 +387,16 @@ def _mul(x: FormClass, y: FormClass, ident: FormClass) -> FormClass:
     return compose_forms(x, y)
 
 
+def _override_info(mod: Modulus, p: int) -> PrimeSplitInfo:
+    """The splitting data of a pillar override p, proved prime and checked to split."""
+    if not is_prime(p):
+        raise PillarConfigError(f"pillar {p} is not a prime")
+    info = _split_info(mod, p)
+    if info.kind is not SplitKind.SPLIT:
+        raise PillarConfigError(f"pillar prime {p} does not split")
+    return info
+
+
 def _split_prime_infos(mod: Modulus):
     """The splitting data of the split primes, ascending; sieved, so not proved again."""
     bound = 256
@@ -405,10 +420,12 @@ class QuotientData:
     f * f, and its size and invariant factors are those of the table's
     walks of Cl^2.  The image of a split prime p is the class of
     prime_form(p, 2), the square of its ideal, so it is reduced, not
-    composed.  The pillar primes, an override in the given order or
-    the default two-phase choice, go through one construction: it grows
-    the coordinates factor by factor and checks the internal direct sum,
-    as |A * B| = |A| |B| exactly when A and B meet only in the identity.
+    composed.  The pillar primes, an override in the given order (each
+    proved prime and checked to split) or the default two-phase choice
+    (each with the splitting data it was scanned with), go through one
+    construction: it grows the coordinates factor by factor and checks the
+    internal direct sum, as |A * B| = |A| |B| exactly when A and B meet
+    only in the identity.
     It reads the table only while it is built and keeps no reference to
     it, so a table and the quotients it keeps form no reference cycle and
     are freed as soon as the table is dropped.
@@ -421,15 +438,12 @@ class QuotientData:
         if override is None:
             picks = self._select_default_pillars(table)
         else:
-            picks = [(p, None) for p in override]
+            # lazily, so each pillar is checked only after those before it
+            picks = ((_override_info(table.mod, p), None) for p in override)
         coords: dict[FormClass, tuple[int, ...]] = {ident: ()}
         pillars = []
-        for j, (p, powers) in enumerate(picks, start=1):
-            if not is_prime(p):
-                raise PillarConfigError(f"pillar {p} is not a prime")
-            info = _split_info(table.mod, p)
-            if info.kind is not SplitKind.SPLIT:
-                raise PillarConfigError(f"pillar prime {p} does not split")
+        for j, (info, powers) in enumerate(picks, start=1):
+            p = info.p
             if powers is None:
                 powers = table.powers(reduce_form(*prime_form(table.mod, info, 2)))
             if len(powers) == 1:
@@ -450,7 +464,7 @@ class QuotientData:
         self.pillars: tuple[Pillar, ...] = tuple(pillars)
         self._coords = coords
 
-    def _select_default_pillars(self, table: ClassGroupTable) -> list[tuple[int, list[FormClass]]]:
+    def _select_default_pillars(self, table: ClassGroupTable) -> list[tuple[PrimeSplitInfo, list[FormClass]]]:
         """The default pillar primes, one per invariant factor, each with the powers of its image.
 
         Phase one builds a primary skeleton: for every prime-power slot q^k
@@ -467,15 +481,15 @@ class QuotientData:
         Chebotarev density.  Both phases draw the split primes in
         increasing order, so the result is reproducible.  Scanning a prime
         costs no composition: its image is the reduced prime_form(p, 2).
-        Every span is read off the table's walks, which costs none.
+        Every span is read off the table's walks, which costs none.  Each
+        pick carries the splitting data it was scanned with, so it is not
+        proved prime or split again.
         """
         ident = self.identity
-        slots: list[tuple[int, int]] = []
-        for tau in self.invariant_factors:
-            slots.extend(_prime_power_parts(tau))
-        slots.sort(key=lambda s: (s[0], -s[1]))
+        parts = [_prime_power_parts(tau) for tau in self.invariant_factors]
+        slots = sorted((s for ps in parts for s in ps), key=lambda s: (s[0], -s[1]))
 
-        scanned: list[tuple[int, FormClass]] = []  # (p, image of its class)
+        scanned: list[tuple[PrimeSplitInfo, FormClass]] = []  # (splitting data, image of its class)
         stream = _split_prime_infos(table.mod)
 
         def candidates():
@@ -483,7 +497,7 @@ class QuotientData:
             while True:
                 if i == len(scanned):
                     info = next(stream)
-                    scanned.append((info.p, reduce_form(*prime_form(table.mod, info, 2))))
+                    scanned.append((info, reduce_form(*prime_form(table.mod, info, 2))))
                 yield scanned[i]
                 i += 1
 
@@ -509,14 +523,14 @@ class QuotientData:
         picks = []
         for j, tau in enumerate(self.invariant_factors):
             g = ident
-            for q, _ in _prime_power_parts(tau):
+            for q, _ in parts[j]:
                 g = _mul(g, skeleton[q][j], ident)
             target = frozenset(table.powers(g))
             # the targets are distinct subgroups, so no prime is picked twice
-            for p, x in candidates():
+            for info, x in candidates():
                 if x in target and table.order_of(x) == tau:
                     break
-            picks.append((p, table.powers(x)))
+            picks.append((info, table.powers(x)))
         return picks
 
     def coords(self, f: FormClass) -> tuple[int, ...]:

@@ -4,9 +4,10 @@ These drive the verify-paper command.  Each fixture is a name, a modulus,
 a function that recomputes values, and the published values as data;
 run_fixtures is the one comparator and writes the one failure text, "got
 X, expected Y" (a fixture that raises fails with the exception's text).
-Each run builds its basis tables from scratch, once per modulus and
-pillar choice, shares them among that run's fixtures and drops them when
-it ends; nothing is kept between runs.
+Each run builds one class group per modulus and, on it, one basis table
+per pillar choice (the class group keeps each choice's quotient), shares
+them among that run's fixtures and drops them when it ends; nothing is
+kept between runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .basis import BasisTable, special_four_element
+from .classgroup import ClassGroupTable
 from .decompose import PrimeIdealRef, decompose, ideal_valuations
 from .quadfield import Modulus, SplitKind, kronecker, splitting_type
 from .triples import Triple, add
@@ -128,11 +130,15 @@ FIXTURES: tuple[Fixture, ...] = (
 
 
 def run_fixtures(only_m: int | None = None) -> list[tuple[Fixture, bool, str]]:
+    groups: dict[int, ClassGroupTable] = {}
     built: dict[tuple[int, tuple[int, ...] | None], BasisTable] = {}
 
     def tables(m: int, pillars: tuple[int, ...] | None = None) -> BasisTable:
         if (m, pillars) not in built:
-            built[m, pillars] = BasisTable(Modulus(m), pillars)
+            mod = Modulus(m)
+            if m not in groups:
+                groups[m] = ClassGroupTable(mod)
+            built[m, pillars] = BasisTable(mod, pillars, table=groups[m])
         return built[m, pillars]
 
     results = []

@@ -158,19 +158,24 @@ def _legendre(mod: Modulus, p: int) -> int:
 
 
 def _split_info(mod: Modulus, p: int) -> PrimeSplitInfo:
-    """splitting_type for a p already known to be prime."""
-    k = _legendre(mod, p)
-    if k == -1:
-        return PrimeSplitInfo(p, SplitKind.INERT)
+    """splitting_type for a p already known to be prime.
+
+    An odd p costs one sqrt_mod, whose Euler criterion is the Legendre
+    symbol: None is inert, 0 ramified, any other root split.
+    """
     if p == 2:
+        k = _legendre(mod, 2)
         if k == 1:
             return PrimeSplitInfo(2, SplitKind.SPLIT, root=1)
+        if k == -1:
+            return PrimeSplitInfo(2, SplitKind.INERT)
         # ramified: <2, sqrt(-m)> for even m, <2, 1 + sqrt(-m)> for m = 1 mod 4
         return PrimeSplitInfo(2, SplitKind.RAMIFIED, root=mod.m % 2)
-    if k == 0:
-        return PrimeSplitInfo(p, SplitKind.RAMIFIED, root=0)
     r = sqrt_mod(-mod.m, p)
-    assert r is not None and r != 0
+    if r is None:
+        return PrimeSplitInfo(p, SplitKind.INERT)
+    if r == 0:
+        return PrimeSplitInfo(p, SplitKind.RAMIFIED, root=0)
     return PrimeSplitInfo(p, SplitKind.SPLIT, root=r)
 
 

@@ -179,7 +179,7 @@ def class_route_beta(basis: BasisTable, p: int) -> BasisElement:
     info = splitting_type(mod, p)
     fp = table.class_of_prime(p)
     pillar = next((pl for pl in quotient.pillars if pl.p == p), None)
-    if table.in_two_torsion(fp):
+    if fp in table.twotorsion:
         cat, own, exps = Category.TWO_TORSION, (info, 1, False), ()
     elif pillar is not None:
         cat, own, exps = Category.PILLAR, (info, pillar.order, False), ()

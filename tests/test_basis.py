@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import gcd, prod
 
 import pytest
@@ -14,8 +15,8 @@ from aptgroup.basis import (
     split_primes,
     two_torsion_triple,
 )
-from aptgroup import classgroup, primes, quadfield
-from aptgroup.classgroup import ClassGroupTable, compose_forms
+from aptgroup import basis, classgroup, primes, quadfield
+from aptgroup.classgroup import ClassGroupTable, compose_forms, prime_form, reduce_form
 from aptgroup.fixtures import BETA23_PILLAR2, BETA23_PILLAR3
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
@@ -323,6 +324,17 @@ class TestPrimesProvedOnce:
         # factorize also tests the composite c once
         assert sorted(n for n in proofs if n > 1000 and is_prime(n)) == [1000033, 1000037], proofs
 
+    def test_default_pillars_are_not_proved_again(self, proofs):
+        # the default picks come from the sieve with their splitting data
+        bt = BasisTable(Modulus(974))
+        assert [pl.p for pl in bt.pillars] == [5, 41]
+        assert proofs == []
+
+    def test_override_pillars_are_proved_once(self, proofs):
+        bt = BasisTable(Modulus(974), (5, 41))
+        assert [pl.p for pl in bt.pillars] == [5, 41]
+        assert proofs == [5, 41]
+
     def test_public_beta_proves_once(self, proofs):
         bt = BasisTable(Modulus(974))
         proofs.clear()
@@ -452,8 +464,8 @@ class TestAgainstScan:
                     admissible = all(
                         conj == e.conj or 2 * e.a == pl.order for (pl, e), conj in zip(moved, flips)
                     )
-                    assert table.in_two_torsion(cls) == admissible, (m, p, flips)
-                    if not table.in_two_torsion(cls):
+                    assert (cls in table.twotorsion) == admissible, (m, p, flips)
+                    if cls not in table.twotorsion:
                         with pytest.raises(NotTwoTorsionError):
                             two_torsion_triple(mod, factors)
                     elif any(f[0].p == 2 for f in factors):
@@ -480,6 +492,28 @@ class TestClassRoute:
         for p in bt.split_primes(200):
             assert bt.beta(p) == class_route_beta(bt, p), (m, p)
 
+    @pytest.mark.parametrize(
+        "m,pillars,bound,tied",
+        [
+            # pillar 5 has order 6: the p with exponent 3 there admit both flags
+            (974, None, 2000, True),
+            (974, (5, 41), 2000, True),
+            # three pillars of orders 8, 2 and 2, or 4, 2 and 2: up to eight admissible patterns
+            (137678, None, 200, True),
+            (142222, None, 200, True),
+            # three odd pillars, of orders 63, 3 and 3: one pattern each
+            (3321607, None, 200, False),
+        ],
+    )
+    def test_ties_and_three_pillars(self, m, pillars, bound, tied):
+        bt = BasisTable(Modulus(m), pillars)
+        ties = 0
+        for p in bt.split_primes(bound):
+            el = bt.beta(p)
+            assert el == class_route_beta(bt, p), (m, p)
+            ties += any(2 * e.a == pl.order for e, pl in zip(el.exps, bt.pillars))
+        assert (ties > 0) == tied
+
     @pytest.mark.parametrize("first", [(2,), (3,)])
     def test_pillar_forms_are_kept_per_table(self, first):
         # the default table of 23 has pillar 2; an override on the same
@@ -495,6 +529,50 @@ class TestClassRoute:
                 assert (got.a, got.b, got.c) == t, (key, p)
         assert bts[(2,)]._pillar_forms.keys() == bts[(3,)]._pillar_forms.keys() == {(1, 1)}
         assert bts[(2,)]._pillar_forms != bts[(3,)]._pillar_forms
+
+
+class TestCofactorMemo:
+    """The pillar part of a composite beta is built once per class of Cl^2."""
+
+    @staticmethod
+    def image(bt, p):
+        return reduce_form(*prime_form(bt.mod, splitting_type(bt.mod, p), 2))
+
+    @pytest.mark.parametrize("m", [974, 137678])
+    def test_one_entry_per_image(self, monkeypatch, m):
+        bt = BasisTable(Modulus(m))
+        composite = [p for p in bt.split_primes(400) if bt.category_of(p) is Category.COMPOSITE]
+        images = {}
+        for p in composite:
+            images.setdefault(self.image(bt, p), []).append(p)
+        assert set(bt._cofactors) == set(images)
+        assert len(bt._cofactors) < bt.quotient.size
+        # two primes of one image share the entry: the second composes and
+        # runs Cornacchia once per admissible pattern, and lifts no pillar form
+        p1, p2 = next(ps for ps in images.values() if len(ps) > 1)[:2]
+        fresh = BasisTable(bt.mod, table=bt.table)
+        fresh.beta(p1)
+        entry = fresh._cofactors[self.image(bt, p1)]
+        calls = Counter()
+
+        def counting(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        for name in ("united", "_generator_triple", "prime_form"):
+            monkeypatch.setattr(basis, name, counting(name, getattr(basis, name)))
+        assert fresh.beta(p2) == bt.beta(p2)
+        assert fresh._cofactors == {self.image(bt, p1): entry}
+        forms = len(entry[2])
+        assert calls == {"united": forms, "_generator_triple": forms, "prime_form": 1}
+
+    def test_memo_is_bounded_by_the_quotient(self):
+        bt = BasisTable(Modulus(974))
+        bt.elements(5000)
+        assert len(bt._cofactors) == bt.quotient.size - 1 == 17
+        assert bt.table.identity not in bt._cofactors
 
 
 def _outcome(route, mod, factors):

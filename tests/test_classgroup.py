@@ -326,6 +326,12 @@ class TestEnumerate:
             disc = Modulus(m).disc
             assert _enumerate_reduced(disc) == enumerate_by_scan(disc), m
 
+    @pytest.mark.parametrize("m", [15015, 30030, 255255, 510510, 4849845])
+    def test_many_small_prime_factors_match_scan_oracle(self, m):
+        # n = (b^2 - disc)/4 with many small factors: many divisors below sqrt(n) to build
+        disc = Modulus(m).disc
+        assert _enumerate_reduced(disc) == enumerate_by_scan(disc), m
+
     def test_structure_examples(self):
         assert list(ClassGroupTable(Modulus(23)).structure) == [3]
         assert list(ClassGroupTable(Modulus(974)).structure) == [12, 3]
@@ -366,7 +372,7 @@ class TestEnumerate:
                     cur = compose_forms(cur, f)
                     k += 1
                 assert table.order_of(f) == k, (m, f)
-                assert table.in_two_torsion(f) == (k <= 2), (m, f)
+                assert (f in table.twotorsion) == (k <= 2), (m, f)
 
     @pytest.mark.parametrize("m", [974, 3000010])
     def test_cyclic_powers_match_plain_walk(self, m):
@@ -559,7 +565,7 @@ class TestClassOfPrime:
             if kronecker(mod, p) != 1:
                 continue
             f = table.class_of_prime(p)
-            assert table.in_two_torsion(f) == table.in_two_torsion(f.inverse())
+            assert (f in table.twotorsion) == (f.inverse() in table.twotorsion)
 
 
 class TestQuotient:
@@ -806,7 +812,7 @@ class CosetQuotient:
 
     def order(self, f):
         k, cur = 1, f
-        while not self.table.in_two_torsion(cur):
+        while cur not in self.table.twotorsion:
             cur = compose_forms(cur, f)
             k += 1
         return k

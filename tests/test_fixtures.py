@@ -12,11 +12,25 @@ def built(monkeypatch):
     seen = []
     real = fixtures.BasisTable
 
-    def spy(mod, pillars=None):
+    def spy(mod, pillars=None, table=None):
         seen.append((mod.m, pillars))
-        return real(mod, pillars)
+        return real(mod, pillars, table=table)
 
     monkeypatch.setattr(fixtures, "BasisTable", spy)
+    return seen
+
+
+@pytest.fixture
+def groups(monkeypatch):
+    """The m of every ClassGroupTable the fixtures build."""
+    seen = []
+    real = fixtures.ClassGroupTable
+
+    def spy(mod):
+        seen.append(mod.m)
+        return real(mod)
+
+    monkeypatch.setattr(fixtures, "ClassGroupTable", spy)
     return seen
 
 
@@ -27,6 +41,15 @@ def test_one_table_per_modulus_and_pillars_per_run(built):
     assert Counter(built) == want
     fixtures.run_fixtures()
     assert Counter(built) == {key: 2 for key in want}
+
+
+def test_one_class_group_per_modulus_per_run(built, groups):
+    # the three pillar choices of 23 share one class group, which keeps each choice's quotient
+    results = fixtures.run_fixtures()
+    assert all(ok for _, ok, _ in results)
+    assert sorted(groups) == [23, 35, 974]
+    fixtures.run_fixtures(23)
+    assert sorted(groups) == [23, 23, 35, 974]
 
 
 def test_one_table_for_one_modulus(built):
