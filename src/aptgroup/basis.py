@@ -29,7 +29,9 @@ per pattern (one, but for a tie at half a pillar order).  A pillar or
 two-torsion beta costs one Euclid run.  A table computes each beta(p) once,
 from one record of the splitting data of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
-factorize, proved already, prove none.
+factorize, proved already, prove none.  elements and two_torsion_primes
+classify each sieved prime by that record alone: whether -m has a square
+root mod p tells whether p splits.
 The image of beta generates the triple group freely; for m in {7, 15}
 beta(2) is the distinguished [q, r, 4] element.
 """
@@ -38,10 +40,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from math import gcd, isqrt, prod
-from typing import Iterable, Sequence
 
 from .classgroup import (
     ClassGroupTable,
@@ -96,33 +98,27 @@ class Category(str, enum.Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class ExpEntry:
+class ExpEntry(namedtuple("ExpEntry", "j a conj")):
     """One pillar exponent of a composite basis element.
 
-    With h the pillar's order, a is taken from {0, ..., floor(h/2)}; conj
-    records whether the factor is a power of <p, -r + sqrt(-m)>, the
-    conjugate of the chosen ideal <p, r + sqrt(-m)> of the pillar's
-    PrimeSplitInfo.  At exactly h/2 both choices work and the chosen ideal
-    is preferred.
+    j is the 1-based pillar index.  With h the pillar's order, a is taken
+    from {0, ..., floor(h/2)}; conj records whether the factor is a power
+    of <p, -r + sqrt(-m)>, the conjugate of the chosen ideal
+    <p, r + sqrt(-m)> of the pillar's PrimeSplitInfo.  At exactly h/2 both
+    choices work and the chosen ideal is preferred.
     """
 
-    j: int  # 1-based pillar index
-    a: int
-    conj: bool
+    __slots__ = ()
 
 
 # a composite beta's pillar exponents, pillar norm and pillar forms, one per admissible pattern
 Cofactor = tuple[tuple[ExpEntry, ...], int, tuple[tuple[int, int, int], ...]]
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    p: int
-    triple: Triple
-    category: Category
-    pillar_index: int | None = None
-    exps: tuple[ExpEntry, ...] = ()
+class BasisElement(namedtuple("BasisElement", "p triple category pillar_index exps", defaults=(None, ()))):
+    """beta(p) with its category; a pillar's 1-based index, or a composite's pillar exponents."""
+
+    __slots__ = ()
 
 
 def split_primes(mod: Modulus, bound: int) -> list[int]:
@@ -130,9 +126,14 @@ def split_primes(mod: Modulus, bound: int) -> list[int]:
 
     Raises BoundTooLargeError when bound exceeds MAX_BOUND.
     """
+    return [p for p in _sieve(bound) if _legendre(mod, p) == 1]
+
+
+def _sieve(bound: int) -> list[int]:
+    """The primes up to bound; raises BoundTooLargeError when bound exceeds MAX_BOUND."""
     if bound > MAX_BOUND:
         raise BoundTooLargeError(bound)
-    return [p for p in primes_up_to(bound) if _legendre(mod, p) == 1]
+    return primes_up_to(bound)
 
 
 def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
@@ -254,7 +255,8 @@ class BasisTable:
 
     def two_torsion_primes(self, bound: int) -> list[int]:
         ident = self.table.identity
-        return [p for p in self.split_primes(bound) if self._squared(_split_info(self.mod, p))[1] == ident]
+        infos = (_split_info(self.mod, p) for p in _sieve(bound))
+        return [info.p for info in infos if info.kind is SplitKind.SPLIT and self._squared(info)[1] == ident]
 
     def special(self) -> Triple | None:
         return special_four_element(self.mod)
@@ -362,10 +364,20 @@ class BasisTable:
         """beta(p) for every split prime p up to bound, ascending.
 
         For m in {7, 15} the distinguished [q, r, 4] element equals beta(2)
-        and is included even when the bound excludes 2.
+        and is included even when the bound excludes 2.  A prime whose beta
+        is kept is not classified again.
         """
-        ps = self.split_primes(bound)
-        if self.special() is not None and 2 not in ps:
-            ps = [2, *ps]
-        return [self._proven_beta(p) for p in ps]
+        ps = _sieve(bound)
+        if bound < 2 and self.special() is not None:
+            ps = [2]  # 2 splits for m in {7, 15}
+        out = []
+        for p in ps:
+            el = self._beta.get(p)
+            if el is None:
+                info = _split_info(self.mod, p)
+                if info.kind is not SplitKind.SPLIT:
+                    continue
+                el = self._compute_beta(info)
+            out.append(el)
+        return out
 

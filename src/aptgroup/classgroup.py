@@ -24,7 +24,6 @@ a chosen split prime ideal (a "pillar"), its powers read off the walks.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .primes import factorize, is_prime, primes_up_to
@@ -362,15 +361,14 @@ class ClassGroupTable:
         return reduce_form(*prime_form(self.mod, info))
 
 
-@dataclass(frozen=True)
-class Pillar:
-    """A split prime whose class image generates one cyclic factor of the quotient."""
+class Pillar(namedtuple("Pillar", "index p info order form")):
+    """A split prime whose class image generates one cyclic factor of the quotient.
 
-    index: int  # 1-based position of the cyclic factor
-    p: int
-    info: PrimeSplitInfo
-    order: int  # size of the cyclic factor this prime generates
-    form: FormClass  # class_of_prime of p
+    index is the 1-based position of that cyclic factor and order its
+    size; info is the splitting data of p and form its class_of_prime.
+    """
+
+    __slots__ = ()
 
 
 def _prime_power_parts(n: int) -> list[tuple[int, int]]:

@@ -18,8 +18,8 @@ verified by exact recombination before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .basis import BasisTable
 from .primes import factorize
@@ -40,25 +40,25 @@ class DecompositionError(RuntimeError):
     """Internal inconsistency: a prime outside L or a failed recombination check."""
 
 
-@dataclass(frozen=True, order=True)
-class PrimeIdealRef:
+class PrimeIdealRef(namedtuple("PrimeIdealRef", "p root conj")):
     """A degree-one prime ideal <p, root + sqrt(-m)> over an odd split p.
 
     conj is set when root is the non-canonical square root p - r.
     """
 
-    p: int
-    root: int
-    conj: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    m: int
-    input: Triple
-    terms: tuple[tuple[int, int], ...]  # (prime, coefficient), primes ascending
-    special_coeff: int = 0
-    verified: bool = False
+class Decomposition(namedtuple("Decomposition", "m input terms special_coeff verified", defaults=(0, False))):
+    """The coordinates of input over the basis of modulus m.
+
+    terms holds the (prime, coefficient) pairs, primes ascending, with no
+    zero coefficient; special_coeff is that of [q, r, 4] for m in {7, 15}.
+    verified is set once recombination has reproduced input.  It is the
+    tuple of those fields, compared and hashed as a tuple.
+    """
+
+    __slots__ = ()
 
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)

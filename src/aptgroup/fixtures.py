@@ -12,8 +12,7 @@ kept between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .basis import BasisTable, special_four_element
 from .classgroup import ClassGroupTable
@@ -24,13 +23,10 @@ from .triples import Triple, add
 __all__ = ["Fixture", "FIXTURES", "run_fixtures"]
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    m: int
-    # called with tables(m, pillars=None), which returns the run's basis table
-    compute: Callable[[Callable[..., BasisTable]], object]
-    expected: object
+class Fixture(namedtuple("Fixture", "name m compute expected")):
+    """A worked example: compute is called with tables(m, pillars=None), which returns the run's basis table."""
+
+    __slots__ = ()
 
 
 SPLIT35_151 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]

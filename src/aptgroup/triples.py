@@ -13,7 +13,7 @@ product, reduced to its primitive representative once by normalize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 __all__ = [
@@ -38,24 +38,30 @@ class NotASolutionError(ValueError):
     """The given integers do not solve a^2 + m*b^2 = c^2."""
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    """Canonical representative of a group element: primitive, c > 0, a > 0."""
+class Triple(namedtuple("Triple", "m a b c")):
+    """Canonical representative of a group element: primitive, c > 0, a > 0.
 
-    m: int
-    a: int
-    b: int
-    c: int
+    A triple is the tuple (m, a, b, c), checked when it is made: equality,
+    hashing and ordering are the tuple's, and it iterates as (m, a, b, c).
+    It prints as [a, b, c].  t + u, t - u, -t and n * t are the group
+    operations; t * n raises TypeError rather than repeat the tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if self.c <= 0 or self.a <= 0:
-            raise NotASolutionError(f"not canonical: ({self.a}, {self.b}, {self.c})")
-        if self.a * self.a + self.m * self.b * self.b != self.c * self.c:
-            raise NotASolutionError(
-                f"({self.a}, {self.b}, {self.c}) does not solve x^2 + {self.m}y^2 = z^2"
-            )
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise NotASolutionError(f"not primitive: ({self.a}, {self.b}, {self.c})")
+    __slots__ = ()
+
+    def __new__(cls, m: int, a: int, b: int, c: int) -> "Triple":
+        if c <= 0 or a <= 0:
+            raise NotASolutionError(f"not canonical: ({a}, {b}, {c})")
+        if a * a + m * b * b != c * c:
+            raise NotASolutionError(f"({a}, {b}, {c}) does not solve x^2 + {m}y^2 = z^2")
+        if gcd(gcd(a, b), c) != 1:
+            raise NotASolutionError(f"not primitive: ({a}, {b}, {c})")
+        return tuple.__new__(cls, (m, a, b, c))
+
+    @classmethod
+    def _make(cls, iterable) -> "Triple":
+        # _replace builds through here, so it checks as Triple(...) does
+        return cls(*iterable)
 
     def is_identity(self) -> bool:
         return self.c == 1
@@ -68,6 +74,9 @@ class Triple:
 
     def __sub__(self, other: "Triple") -> "Triple":
         return add(self, -other)
+
+    def __mul__(self, n):
+        return NotImplemented
 
     def __rmul__(self, n: int) -> "Triple":
         return scalar_mul(n, self)

@@ -355,6 +355,45 @@ class TestPrimesProvedOnce:
             bt.exponent_vector(5)
 
 
+class TestSievedPrimesClassifiedOnce:
+    """elements and two_torsion_primes classify each sieved prime by one splitting record."""
+
+    @pytest.fixture
+    def symbols(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        legendre = counting("_legendre", quadfield._legendre)
+        monkeypatch.setattr(quadfield, "_legendre", legendre)
+        monkeypatch.setattr(basis, "_legendre", legendre)
+        monkeypatch.setattr(quadfield, "sqrt_mod", counting("sqrt_mod", quadfield.sqrt_mod))
+        return calls
+
+    # 168 primes up to 1000, 166 up to 983: 2 takes a Legendre symbol, each
+    # odd prime one sqrt_mod, whose Euler criterion is that symbol
+    def test_elements(self, symbols):
+        bt = BasisTable(Modulus(974))
+        split = split_primes(bt.mod, 1000)
+        symbols.clear()
+        assert [el.p for el in bt.elements(1000)] == split and len(split) == 90
+        assert symbols == {"_legendre": 1, "sqrt_mod": 167}
+        # a second call classifies only the 78 primes that have no beta
+        symbols.clear()
+        assert [el.p for el in bt.elements(1000)] == split
+        assert symbols == {"_legendre": 1, "sqrt_mod": 77}
+
+    def test_two_torsion_primes(self, symbols):
+        bt = BasisTable(Modulus(974))
+        symbols.clear()
+        assert bt.two_torsion_primes(983) == [937, 983]
+        assert symbols == {"_legendre": 1, "sqrt_mod": 165}
+
+
 class TestEnumerateBasis:
     def test_m35_bound_17(self):
         got = [el.triple for el in BasisTable(Modulus(35)).elements(17)]

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -373,7 +372,7 @@ class TestVerifyPaperCommand:
 
     def test_failure_exit_1(self, capsys, monkeypatch):
         first = fixtures.FIXTURES[0]
-        monkeypatch.setattr(fixtures, "FIXTURES", (dataclasses.replace(first, expected=(3,)), first))
+        monkeypatch.setattr(fixtures, "FIXTURES", (first._replace(expected=(3,)), first))
         assert run(capsys, "verify-paper") == (1, (
             "FAIL  m35.classgroup: got (2, [2], 2, [], []), expected (3,)\n"
             "PASS  m35.classgroup\n"

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -62,7 +61,7 @@ def test_every_fixture_compares_its_value(monkeypatch):
     # each expected value replaced: every fixture fails with the one failure text
     wrong = object()
     monkeypatch.setattr(fixtures, "FIXTURES", tuple(
-        dataclasses.replace(fx, expected=wrong) for fx in fixtures.FIXTURES))
+        fx._replace(expected=wrong) for fx in fixtures.FIXTURES))
     results = fixtures.run_fixtures()
     assert len(results) == 22
     for fx, ok, msg in results:
@@ -75,8 +74,8 @@ def test_a_wrong_value_and_a_crash_fail(monkeypatch):
 
     first, second = fixtures.FIXTURES[:2]
     monkeypatch.setattr(fixtures, "FIXTURES", (
-        dataclasses.replace(first, expected=(2, [2], 2, [], [(3, 2)])),
-        dataclasses.replace(second, compute=crash),
+        first._replace(expected=(2, [2], 2, [], [(3, 2)])),
+        second._replace(compute=crash),
     ))
     assert fixtures.run_fixtures() == [
         (fixtures.FIXTURES[0], False, "got (2, [2], 2, [], []), expected (2, [2], 2, [], [(3, 2)])"),
