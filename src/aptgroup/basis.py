@@ -29,9 +29,11 @@ per pattern (one, but for a tie at half a pillar order).  A pillar or
 two-torsion beta costs one Euclid run.  A table computes each beta(p) once,
 from one record of the splitting data of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
-factorize, proved already, prove none.  elements and two_torsion_primes
-classify each sieved prime by that record alone: whether -m has a square
-root mod p tells whether p splits.
+factorize, proved already, prove none.  elements classifies each sieved
+prime by that record alone: whether -m has a square root mod p tells
+whether p splits.  two_torsion_primes classifies no prime one at a time:
+the primes whose class is 2-torsion are the prime values of the ambiguous
+forms, which it enumerates.
 The image of beta generates the triple group freely; for m in {7, 15}
 beta(2) is the distinguished [q, r, 4] element.
 """
@@ -254,9 +256,30 @@ class BasisTable:
         return split_primes(self.mod, bound)
 
     def two_torsion_primes(self, bound: int) -> list[int]:
-        ident = self.table.identity
-        infos = (_split_info(self.mod, p) for p in _sieve(bound))
-        return [info.p for info in infos if info.kind is SplitKind.SPLIT and self._squared(info)[1] == ident]
+        """The split primes p <= bound whose ideal class has order at most 2, ascending.
+
+        Those classes are the ambiguous reduced forms (Cohen, GTM 138,
+        section 5.6), and a prime p not dividing disc has an ideal in the
+        class of a form exactly when the form represents p primitively
+        (Cox, Primes of the Form x^2 + ny^2, sections 2 and 7).  So the list
+        is the primes up to bound, less those dividing disc, that an
+        ambiguous form takes as a value.  With 4a f(x, y) = (2ax + by)^2 +
+        |disc| y^2, the values f <= bound lie in |disc| y^2 <= 4a bound and
+        |2ax + by| <= isqrt(4a bound - |disc| y^2); a prime value forces
+        gcd(x, y) = 1, and f(x, -y) = f(-x, y) leaves y >= 0.
+        """
+        primes = set(_sieve(bound))
+        disc = self.mod.disc
+        found: set[int] = set()
+        for a, b, c in self.table.twotorsion:
+            y = 0
+            while -disc * y * y <= 4 * a * bound:
+                s = isqrt(4 * a * bound + disc * y * y)
+                by, cyy = b * y, c * y * y
+                xs = range(-((s + by) // (2 * a)), (s - by) // (2 * a) + 1)
+                found.update(primes.intersection((a * x + by) * x + cyy for x in xs))
+                y += 1
+        return sorted(p for p in found if disc % p)
 
     def special(self) -> Triple | None:
         return special_four_element(self.mod)

@@ -69,6 +69,11 @@ class FormClass(namedtuple("FormClass", "a b c")):
             raise ValueError(f"form ({a}, {b}, {c}) is not primitive")
         return tuple.__new__(cls, (a, b, c))
 
+    @classmethod
+    def _make(cls, iterable) -> "FormClass":
+        # _replace builds through here, so it checks as FormClass(...) does
+        return cls(*iterable)
+
     @property
     def disc(self) -> int:
         a, b, c = self
@@ -502,7 +507,7 @@ class QuotientData:
         # phase one: primary skeleton, the images of each q by descending order
         skeleton: dict[int, list[FormClass]] = {}
         acc_by_q: dict[int, frozenset[FormClass]] = {}
-        for q, qk in slots:
+        for pos, (q, qk) in enumerate(slots):
             if sum(1 for s in slots if s[0] == q) == 1:
                 # the q-part is cyclic: any element of order q^k spans it, so none is scanned
                 walk = next(w for w, _ in table._walks.values() if len(w) % qk == 0)
@@ -514,7 +519,9 @@ class QuotientData:
                     span = table.powers(image)
                     if acc.isdisjoint(span[1:]):
                         skeleton.setdefault(q, []).append(image)
-                        acc_by_q[q] = frozenset(_mul(x, y, ident) for x in acc for y in span)
+                        # the span is read only by a later slot of the same q
+                        if pos + 1 < len(slots) and slots[pos + 1][0] == q:
+                            acc_by_q[q] = frozenset(_mul(x, y, ident) for x in acc for y in span)
                         break
 
         # phase two: a generator of each invariant factor, then the first exact one

@@ -6,8 +6,10 @@ import pytest
 from conftest import class_route_beta, crt_two_torsion_triple, form_power, ideal_valuation, third_shape
 
 from aptgroup.basis import (
+    MAX_BOUND,
     BasisElement,
     BasisTable,
+    BoundTooLargeError,
     Category,
     NotTwoTorsionError,
     solve_norm_equation,
@@ -50,6 +52,43 @@ class TestPrimeSets:
         mod = Modulus(35)
         for bound in (10, 50, 151):
             assert BasisTable(mod).two_torsion_primes(bound) == split_primes(mod, bound)
+
+
+class TestTwoTorsionPrimesAgainstClassRoute:
+    """two_torsion_primes, the prime values of the ambiguous forms, against the class of each split prime."""
+
+    @staticmethod
+    def class_route(table, bound):
+        return [p for p in split_primes(table.mod, bound) if table.class_of_prime(p) in table.twotorsion]
+
+    def test_every_small_modulus(self):
+        for m in range(5, 1000):
+            if not is_squarefree(m):
+                continue
+            table = ClassGroupTable(Modulus(m))
+            bt = BasisTable(table.mod, table=table)
+            # the split primes of a smaller bound are a prefix of those up to 400
+            want = self.class_route(table, 400)
+            for bound in (2, 3, 50, 400):
+                assert bt.two_torsion_primes(bound) == [p for p in want if p <= bound], (m, bound)
+
+    @pytest.mark.parametrize("m", [7, 15])
+    def test_split_two(self, m):
+        table = ClassGroupTable(Modulus(m))
+        got = BasisTable(table.mod, table=table).two_torsion_primes(400)
+        assert got[0] == 2 and got == self.class_route(table, 400)
+
+    @pytest.mark.parametrize("m", [2000002, 3000010, 10000019])
+    def test_large_class_groups(self, m):
+        table = ClassGroupTable(Modulus(m))
+        assert BasisTable(table.mod, table=table).two_torsion_primes(1000) == self.class_route(table, 1000)
+
+    def test_bounds(self):
+        bt = BasisTable(Modulus(7))
+        for bound in (-1, 0, 1):
+            assert bt.two_torsion_primes(bound) == []
+        with pytest.raises(BoundTooLargeError):
+            bt.two_torsion_primes(MAX_BOUND + 1)
 
 
 class TestNormEquation:
@@ -356,7 +395,7 @@ class TestPrimesProvedOnce:
 
 
 class TestSievedPrimesClassifiedOnce:
-    """elements and two_torsion_primes classify each sieved prime by one splitting record."""
+    """elements classifies each sieved prime by one splitting record; two_torsion_primes by none."""
 
     @pytest.fixture
     def symbols(self, monkeypatch):
@@ -374,8 +413,8 @@ class TestSievedPrimesClassifiedOnce:
         monkeypatch.setattr(quadfield, "sqrt_mod", counting("sqrt_mod", quadfield.sqrt_mod))
         return calls
 
-    # 168 primes up to 1000, 166 up to 983: 2 takes a Legendre symbol, each
-    # odd prime one sqrt_mod, whose Euler criterion is that symbol
+    # 168 primes up to 1000: 2 takes a Legendre symbol, each odd prime one
+    # sqrt_mod, whose Euler criterion is that symbol
     def test_elements(self, symbols):
         bt = BasisTable(Modulus(974))
         split = split_primes(bt.mod, 1000)
@@ -391,7 +430,8 @@ class TestSievedPrimesClassifiedOnce:
         bt = BasisTable(Modulus(974))
         symbols.clear()
         assert bt.two_torsion_primes(983) == [937, 983]
-        assert symbols == {"_legendre": 1, "sqrt_mod": 165}
+        # the primes are values of the ambiguous forms: no square root is taken
+        assert symbols == {}
 
 
 class TestEnumerateBasis:

@@ -697,6 +697,13 @@ class TestQuotient:
         # the pillar image's powers are read off the table's walk
         assert scanned > 0 and compose == 0
 
+    def test_last_span_of_a_prime_is_not_built(self, monkeypatch):
+        # C6 x C3: the 3-part has two slots, and only the first slot's span
+        # is read, by the second; building the second's too took 15
+        q, compose, _ = self.counted_quotient(monkeypatch, 974)
+        assert q.invariant_factors == (6, 3) and [pl.p for pl in q.pillars] == [5, 41]
+        assert compose == 11
+
     def test_composite_cyclic_factor_is_walked_once(self, monkeypatch):
         # C1275 = C3 x C25 x C17: its generator is walked once, and the
         # pick's powers are read off that walk; walking them again took 3096

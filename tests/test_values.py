@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from aptgroup.basis import BasisElement, Category, ExpEntry
+from aptgroup.classgroup import FormClass
 from aptgroup.decompose import Decomposition, PrimeIdealRef, decompose, ideal_valuations
 from aptgroup.fixtures import Fixture
 from aptgroup.quadfield import InvalidModulusError, Modulus, PrimeSplitInfo, SplitKind, splitting_type
@@ -162,6 +163,9 @@ def test_replace_checks_as_the_constructor_does():
         Modulus(974)._replace(delta=0)  # derived, as dataclasses.replace refused it
     with pytest.raises(InvalidModulusError, match="square-free"):
         Modulus(974)._replace(m=12)
+    assert FormClass(2, 1, 3)._replace(b=-1) == FormClass(2, -1, 3)
+    with pytest.raises(ValueError, match="not reduced"):
+        FormClass(2, 1, 3)._replace(b=5)  # discriminant 1
 
 
 def test_the_command_line_imports_no_dataclasses_inspect_or_typing():

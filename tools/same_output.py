@@ -1,4 +1,4 @@
-"""Print twelve SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print thirteen SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -42,8 +42,10 @@ this process: the commands of bench/data/cli_mix.json and an error path
 of every subcommand.  The same twelfth digest means the same recombine
 and decomposition of 40 seeded vectors per modulus at m = 7 and 15, each
 with a coefficient at 2, where beta(2) is the [q, r, 4] element, and a
-special coefficient given together, up to 30 in size.  It takes about
-thirteen seconds.
+special coefficient given together, up to 30 in size.  The same
+thirteenth digest means the same two_torsion_primes(1000) for every
+square-free 5 <= m < 3000 and for the four.  It takes about ten
+seconds.
 """
 
 import contextlib
@@ -337,6 +339,12 @@ def special_records():
             yield m, sorted(vec.items()), special, t, decompose(bt, t).to_json_dict()
 
 
+def two_torsion_prime_records():
+    for m in [*range(5, 3000), *LARGE]:
+        if is_squarefree(m):
+            yield m, BasisTable(Modulus(m)).two_torsion_primes(1000)
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -358,6 +366,7 @@ def main():
     print(digest(scalar_mul_records()))
     print(digest(cli_call_records()))
     print(digest(special_records()))
+    print(digest(two_torsion_prime_records()))
 
 
 if __name__ == "__main__":
