@@ -13,7 +13,9 @@ exponent of t, one residue telling the side, and each pillar coefficient
 is the signed exponent of t less those of the composite terms, divided
 by h.  For m in {7, 15} beta(2) is the distinguished [q, r, 4] element,
 whose coefficient, that at 2, is reported separately.  The result is
-verified by exact recombination before it is returned.
+verified before it is returned: the product of the basis powers it names
+must be proportional to a + b*sqrt(-m), which is checked by one exact
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from .basis import BasisTable
-from .primes import factorize
+from .primes import _divide_out, factorize
 from .quadfield import Modulus, SplitKind, _legendre, _split_info
 from .triples import Triple, mul, normalize, power
 
@@ -54,8 +56,8 @@ class Decomposition(namedtuple("Decomposition", "m input terms special_coeff ver
 
     terms holds the (prime, coefficient) pairs, primes ascending, with no
     zero coefficient; special_coeff is that of [q, r, 4] for m in {7, 15}.
-    verified is set once recombination has reproduced input.  It is the
-    tuple of those fields, compared and hashed as a tuple.
+    verified is set once the coefficients have been checked to reproduce
+    input.  It is the tuple of those fields, compared and hashed as a tuple.
     """
 
     __slots__ = ()
@@ -117,8 +119,11 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     Factors t.c once and reads each coefficient off it, as the module
     docstring sets out.  Basis elements are computed on demand, a pillar's
     only when its coefficient is not 0, and factorize's primes are not
-    proved prime again.  The returned decomposition has
-    been verified by recombination.
+    proved prime again, nor tested for splitting when their beta is
+    already built.  The returned decomposition has been verified: the one
+    product of the basis powers it names, unreduced, is compared with t by
+    cross-multiplication, which is exact because the norm fixes c.  Only
+    a failure reduces it, for the error text.
     """
     mod = basis.mod
     if t.m != mod.m:
@@ -129,7 +134,8 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     composites = []  # (coefficient, basis element) of each composite term
     pillar_primes = {pl.p for pl in basis.pillars}
     for q, e in fac.items():
-        if _legendre(mod, q) != 1:
+        # only split primes enter the table's memo of betas
+        if q not in basis._beta and _legendre(mod, q) != 1:
             if q == 2:
                 # a single factor 2 may ride along when -m = 1 (mod 4)
                 # even though 2 is inert; it belongs to no prime ideal
@@ -159,10 +165,31 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
 
     special_coeff = coeffs.pop(2, 0) if basis.special() is not None else 0
     terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
-    check = recombine(basis, dict(terms), special_coeff)
-    if check != t:
-        raise DecompositionError(f"recombination produced {check}, expected {t}")
+    a, b, c = _product(basis, dict(terms), special_coeff)
+    # t and the product are the same class exactly when (a, b) is proportional to (t.a, t.b)
+    if a * t.b != b * t.a:
+        raise DecompositionError(f"recombination produced {normalize(mod.m, a, b, c)}, expected {t}")
     return Decomposition(mod.m, t, terms, special_coeff, verified=True)
+
+
+def _product(basis: BasisTable, terms: Mapping[int, int], special_coeff: int) -> tuple[int, int, int]:
+    """prod(beta(p)^s) * [q, r, 4]^special_coeff in Z[sqrt(-m)], as a bare element.
+
+    Its content is odd and lies only at the pillars where terms on
+    opposite sides cancel; mul has taken out every factor 2.
+    """
+    if special_coeff:
+        if basis.special() is None:
+            raise ValueError("no [q, r, 4] element exists for this modulus")
+        terms = {**terms, 2: terms.get(2, 0) + special_coeff}
+    m = basis.mod.m
+    acc = None
+    for p, s in sorted(terms.items()):
+        if s:
+            t = basis.beta(p).triple
+            x = power(m, (t.a, t.b, t.c), s)
+            acc = x if acc is None else mul(m, acc, x)
+    return acc or (1, 0, 1)
 
 
 def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 0) -> Triple:
@@ -170,17 +197,22 @@ def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 
 
     [q, r, 4] exists for m in {7, 15} only, and is beta(2) there, so
     special_coeff adds to the coefficient of 2.  The sum is one product of
-    powers in Z[sqrt(-m)], normalized once; its content holds, besides
-    powers of 2, the pillar primes at which terms on opposite sides cancel.
+    powers in Z[sqrt(-m)].  Its content is divided out at the odd pillars
+    only, where alone it can lie, without a gcd; Triple(...) still checks
+    the equation and primitivity of the result.
     """
-    if special_coeff:
-        if basis.special() is None:
-            raise ValueError("no [q, r, 4] element exists for this modulus")
-        terms = {**terms, 2: terms.get(2, 0) + special_coeff}
-    m = basis.mod.m
-    acc = (1, 0, 1)
-    for p, s in sorted(terms.items()):
-        if s:
-            t = basis.beta(p).triple
-            acc = mul(m, acc, power(m, (t.a, t.b, t.c), s))
-    return normalize(m, *acc)
+    a, b, c = _product(basis, terms, special_coeff)
+    for pl in basis.pillars:
+        q = pl.p
+        if q == 2 or a % q or c % q:
+            continue
+        # the content at q is min(v_q(a), v_q(c)), as q does not divide m
+        a1, k = _divide_out(a, q)
+        c1, r = divmod(c, q**k)
+        if r:  # v_q(c) < v_q(a), so the content is v_q(c)
+            c1, k = _divide_out(c, q)
+            a1 = a // q**k
+        a, b, c = a1, b // q**k, c1
+    if a < 0:
+        a, b = -a, -b
+    return Triple(basis.mod.m, a, b, c)

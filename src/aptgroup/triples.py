@@ -8,7 +8,9 @@ a + b*sqrt(-m); the identity is [1, 0, 1] and the inverse of [a, b, c] is
 
 The arithmetic runs on bare elements (a, b, c) of Z[sqrt(-m)], with
 their third components, by mul and power: a sum of many terms is one
-product, reduced to its primitive representative once by normalize.
+product, reduced to its primitive representative once.  normalize does
+that by a gcd, for any solution; decompose.recombine knows where the
+content of its product can lie and divides it out there instead.
 """
 
 from __future__ import annotations
@@ -139,22 +141,22 @@ def mul(m: int, x: Element, y: Element) -> Element:
 
 
 def power(m: int, x: Element, n: int) -> Element:
-    """x^n by binary powering (Cohen, GTM 138, Alg. 1.2.1); n < 0 powers the conjugate.
+    """x^n by left-to-right binary powering (Cohen, GTM 138, Alg. 1.2.3); n < 0 powers the conjugate.
 
-    For a primitive x the content of x^n is a power of 2, which mul takes
-    out at each step: an odd q would have to divide both ideals over q, or
-    be ramified or inert.
+    It starts from the base, not from the identity, and multiplies the
+    power only by the base, the smaller factor.  For a primitive x the
+    content of x^n is a power of 2, which mul takes out at each step: an
+    odd q would have to divide both ideals over q, or be ramified or inert.
     """
+    if not n:
+        return 1, 0, 1
     a, b, c = x
     base = (a, -b, c) if n < 0 else x
-    n = abs(n)
-    acc = (1, 0, 1)
-    while n:
-        if n & 1:
+    acc = base
+    for bit in bin(abs(n))[3:]:
+        acc = mul(m, acc, acc)
+        if bit == "1":
             acc = mul(m, acc, base)
-        n >>= 1
-        if n:
-            base = mul(m, base, base)
     return acc
 
 

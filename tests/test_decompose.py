@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 from collections import Counter
 from math import isqrt
 
@@ -29,6 +30,29 @@ def seeded_triples(bt: BasisTable, rng: random.Random, count: int):
         vec = {p: rng.randint(-3, 3) for p in rng.sample(primes, min(3, len(primes)))}
         special = rng.randint(-2, 2) if bt.special() is not None else 0
         yield recombine(bt, vec, special_coeff=special)
+
+
+def opposite_side_vectors(bt: BasisTable, rng: random.Random, count: int, bound: int, smax: int):
+    """count vectors whose first two terms lie on opposite sides of an odd pillar q, and the pillar q.
+
+    Both basis triples have q in their third components; the signs are
+    chosen by the cross term, so that the product of their powers is
+    divisible by a power of q.  A third term, up to smax in size, rides along.
+    """
+    primes = bt.split_primes(bound)
+    odd = [pl.p for pl in bt.pillars if pl.p != 2]
+    for _ in range(count):
+        q = rng.choice(odd)
+        p1, p2 = rng.sample([p for p in primes if bt.beta(p).triple.c % q == 0], 2)
+        x, y = bt.beta(p1).triple, bt.beta(p2).triple
+        sign = rng.choice((-1, 1))
+        s1 = sign * rng.randint(1, smax)
+        if (x.a * y.b - y.a * x.b) % q == 0:  # the same side: the signs differ
+            sign = -sign
+        s2 = sign * rng.randint(1, smax)
+        vec = {p1: s1, p2: s2}
+        vec.setdefault(rng.choice(primes), rng.randint(-smax, smax))
+        yield vec, q
 
 
 def trial_sign(bt: BasisTable, cur: Triple, q: int) -> int:
@@ -173,6 +197,88 @@ class TestRecombineOracle:
                 vec = {p: rng.randint(-60, 60) for p in rng.sample(primes, min(4, len(primes)))}
                 special = rng.randint(-60, 60) if bt.special() is not None else 0
                 assert recombine(bt, vec, special) == termwise_recombine(bt, vec, special), (m, vec)
+
+    # every square-free m < 400 with an odd pillar: 154 moduli, pillars 3 to 13
+    ODD_PILLAR_M = [m for m in ORACLE_M[:-2] if any(pl.p != 2 for pl in BasisTable(Modulus(m)).pillars)]
+
+    @pytest.mark.parametrize(
+        "ms, count, bound, smax",
+        [
+            ([974], 20, 200, 60),  # pillars 5 and 41
+            (ODD_PILLAR_M, 2, 100, 9),
+            ([10000019], 6, 60, 20),  # pillar 3, of order 1275
+        ],
+        ids=["974", "m<400", "10000019"],
+    )
+    def test_opposite_sides_of_an_odd_pillar_match_term_by_term(self, ms, count, bound, smax):
+        # the product has content at q, which recombine divides out without a gcd
+        checked = 0
+        for m in ms:
+            bt = BasisTable(Modulus(m))
+            for vec, q in opposite_side_vectors(bt, random.Random(m), count, bound, smax):
+                a, _, c = decompose_module._product(bt, vec, 0)
+                assert a % q == 0 and c % q == 0, (m, vec, q)
+                t = recombine(bt, vec)
+                assert t == termwise_recombine(bt, vec), (m, vec)
+                d = decompose(bt, t)
+                assert d.coefficients() == {p: s for p, s in vec.items() if s} and d.verified, (m, vec)
+                checked += 1
+        assert checked == count * len(ms)
+
+
+class TestCheck:
+    """decompose's check is one unreduced product compared by cross-multiplication."""
+
+    VECTORS = [(974, {5: 2, 41: -1, 37: 3, 11: -5}, 0), (23, {2: -9, 13: 12}, 0), (15, {17: 4, 19: -6}, 5)]
+
+    def test_no_gcd_and_no_normalize(self, monkeypatch):
+        triples_module = importlib.import_module("aptgroup.triples")
+        gcds, normalized = [], []
+        real_gcd = triples_module.gcd
+        real_normalize = triples_module.normalize
+
+        def gcd_spy(x, y):
+            gcds.append((x, y))
+            return real_gcd(x, y)
+
+        def normalize_spy(*args):
+            normalized.append(args)
+            return real_normalize(*args)
+
+        monkeypatch.setattr(triples_module, "gcd", gcd_spy)
+        monkeypatch.setattr(triples_module, "normalize", normalize_spy)
+        monkeypatch.setattr(decompose_module, "normalize", normalize_spy)
+        for m, vec, special in self.VECTORS:
+            bt = BasisTable(Modulus(m))
+            t = recombine(bt, vec, special)  # builds every beta the checks use
+            gcds.clear()
+            d = decompose(bt, t)
+            # basis.special() builds the constant [q, r, 4] through Triple(...), and nothing else takes a gcd
+            assert d.verified and all(max(map(abs, args)) <= 4 for args in gcds), (m, gcds)
+            gcds.clear()
+            assert recombine(bt, vec, special) == t
+            # only Triple(...) takes one, gcd(gcd(a, b), c)
+            assert [args for args in gcds if max(map(abs, args)) > 4] == [(t.a, t.b), (1, t.c)], m
+        assert normalized == []
+
+    @pytest.mark.parametrize("wrong", ["coefficient", "sign", "conjugate"])
+    def test_wrong_coefficients_raise(self, monkeypatch, wrong):
+        def mutate(terms, special):
+            p = max(terms)
+            if wrong == "coefficient":
+                return {**terms, p: terms[p] + 1}, special
+            if wrong == "sign":
+                return {**terms, p: -terms[p]}, special
+            return {q: -s for q, s in terms.items()}, -special
+
+        product = decompose_module._product
+        monkeypatch.setattr(decompose_module, "_product", lambda bt, terms, special: product(bt, *mutate(terms, special)))
+        for m, vec, special in self.VECTORS:
+            bt = BasisTable(Modulus(m))
+            t = termwise_recombine(bt, vec, special)
+            text = f"recombination produced {termwise_recombine(bt, *mutate(vec, special))}, expected {t}"
+            with pytest.raises(DecompositionError, match=f"^{re.escape(text)}$"):
+                decompose(bt, t)
 
 
 class TestDescentOracle:

@@ -1,4 +1,4 @@
-"""Print thirteen SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print fourteen SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -44,8 +44,13 @@ and decomposition of 40 seeded vectors per modulus at m = 7 and 15, each
 with a coefficient at 2, where beta(2) is the [q, r, 4] element, and a
 special coefficient given together, up to 30 in size.  The same
 thirteenth digest means the same two_torsion_primes(1000) for every
-square-free 5 <= m < 3000 and for the four.  It takes about ten
-seconds.
+square-free 5 <= m < 3000 and for the four.  The same fourteenth digest
+means the same recombine and decomposition of seeded vectors whose first
+two terms lie on opposite sides of an odd pillar, so that their product
+has content there: 20 vectors with coefficients up to 60 at m = 974, 6
+up to 20 at m = 10000019 (pillar 3, of order 1275) and 3 up to 30 at
+every 20th square-free m < 3000 that has an odd pillar.  It takes about
+ten seconds.
 """
 
 import contextlib
@@ -345,6 +350,31 @@ def two_torsion_prime_records():
             yield m, BasisTable(Modulus(m)).two_torsion_primes(1000)
 
 
+def odd_pillar_records():
+    squarefree = [m for m in range(5, 3000) if is_squarefree(m)]
+    odd = [m for m in squarefree if any(pl.p != 2 for pl in BasisTable(Modulus(m)).pillars)]
+    for m, count, smax in [(974, 20, 60), (10000019, 6, 20), *((m, 3, 30) for m in odd[::20])]:
+        bt = BasisTable(Modulus(m))
+        primes = bt.split_primes(200)
+        rng = random.Random(m)
+        for _ in range(count):
+            q = rng.choice([pl.p for pl in bt.pillars if pl.p != 2])
+            p1, p2 = rng.sample([p for p in primes if bt.beta(p).triple.c % q == 0], 2)
+            x, y = bt.beta(p1).triple, bt.beta(p2).triple
+            sign = rng.choice((-1, 1))
+            s1 = sign * rng.randint(1, smax)
+            if (x.a * y.b - y.a * x.b) % q == 0:  # the same side at q: the signs differ
+                sign = -sign
+            s2 = sign * rng.randint(1, smax)
+            vec = {p1: s1, p2: s2}
+            vec.setdefault(rng.choice(primes), rng.randint(-smax, smax))
+            t = recombine(bt, vec)
+            doc = decompose(bt, t).to_json_dict()
+            # hex: the components run past the int-to-decimal limit
+            doc["input"] = [hex(n) for n in doc["input"]]
+            yield m, q, sorted(vec.items()), doc
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -367,6 +397,7 @@ def main():
     print(digest(cli_call_records()))
     print(digest(special_records()))
     print(digest(two_torsion_prime_records()))
+    print(digest(odd_pillar_records()))
 
 
 if __name__ == "__main__":
