@@ -34,8 +34,9 @@ prime by that record alone: whether -m has a square root mod p tells
 whether p splits.  two_torsion_primes classifies no prime one at a time:
 the primes whose class is 2-torsion are the prime values of the ambiguous
 forms, which it enumerates.
-The image of beta generates the triple group freely; for m in {7, 15}
-beta(2) is the distinguished [q, r, 4] element.
+The image of beta generates the triple group freely.  For m in {7, 15}
+beta(2) is the distinguished [q, r, 4] element, which BasisTable.special
+reads off the memo; no other modulus has one.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ __all__ = [
     "split_primes",
     "solve_norm_equation",
     "two_torsion_triple",
-    "special_four_element",
 ]
 
 
@@ -142,6 +142,8 @@ def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
     """All coprime (u, v) with u, v >= 0 and u^2 + m*v^2 = n, sorted by u.
 
     Exhaustive scan over v with an exact square test; n = 1 yields [(1, 0)].
+    Nothing in the package calls it: it is kept only for the benchmark's
+    norm-scan counter and as the tests' brute-force oracle.
     """
     if n < 1:
         raise ValueError("norm must be positive")
@@ -213,19 +215,6 @@ def _generator_triple(mod: Modulus, form: tuple[int, int, int], n: int) -> Tripl
     return normalize(mod.m, b, y, n << (1 - mod.delta))
 
 
-def special_four_element(mod: Modulus) -> Triple | None:
-    """The primitive triple [q, r, 4], present only for m = 7 and m = 15.
-
-    q^2 + m*r^2 = 16 with r > 0 needs m <= 16, and r >= 2 would need m <= 4;
-    with r = 1 only 16 - 7 = 3^2 and 16 - 15 = 1^2 are squares.
-    """
-    if mod.m == 7:
-        return Triple(7, 3, 1, 4)
-    if mod.m == 15:
-        return Triple(15, 1, 1, 4)
-    return None
-
-
 class BasisTable:
     """Cached beta values over one modulus and pillar configuration.
 
@@ -282,7 +271,14 @@ class BasisTable:
         return sorted(p for p in found if disc % p)
 
     def special(self) -> Triple | None:
-        return special_four_element(self.mod)
+        """The distinguished element [q, r, 4], which is beta(2); None unless m is 7 or 15.
+
+        q^2 + m*r^2 = 16 with r > 0 needs m <= 16, and r >= 2 would need
+        m <= 4; with r = 1 only 16 - 7 = 3^2 and 16 - 15 = 1^2 are squares.
+        At both, 2 splits and beta(2) is that element, [3, 1, 4] and [1, 1, 4];
+        at any other m nothing is built.
+        """
+        return self.beta(2).triple if self.mod.m in (7, 15) else None
 
     def category_of(self, p: int) -> Category:
         return self.beta(p).category
@@ -386,15 +382,10 @@ class BasisTable:
     def elements(self, bound: int) -> list[BasisElement]:
         """beta(p) for every split prime p up to bound, ascending.
 
-        For m in {7, 15} the distinguished [q, r, 4] element equals beta(2)
-        and is included even when the bound excludes 2.  A prime whose beta
-        is kept is not classified again.
+        A prime whose beta is kept is not classified again.
         """
-        ps = _sieve(bound)
-        if bound < 2 and self.special() is not None:
-            ps = [2]  # 2 splits for m in {7, 15}
         out = []
-        for p in ps:
+        for p in _sieve(bound):
             el = self._beta.get(p)
             if el is None:
                 info = _split_info(self.mod, p)

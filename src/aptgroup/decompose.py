@@ -11,11 +11,11 @@ basis triple other than beta(q) has q in its third component unless q
 is a pillar.  So each composite and 2-torsion coefficient is the signed
 exponent of t, one residue telling the side, and each pillar coefficient
 is the signed exponent of t less those of the composite terms, divided
-by h.  For m in {7, 15} beta(2) is the distinguished [q, r, 4] element,
-whose coefficient, that at 2, is reported separately.  The result is
-verified before it is returned: the product of the basis powers it names
-must be proportional to a + b*sqrt(-m), which is checked by one exact
-cross-multiplication.
+by h.  The result is verified before it is returned: the product of the
+basis powers it names must be proportional to a + b*sqrt(-m), which is
+checked by one exact cross-multiplication.  For m in {7, 15} beta(2) is
+the distinguished [q, r, 4] element (BasisTable.special), so the
+coefficient at 2 is reported separately, as that element's.
 """
 
 from __future__ import annotations
@@ -163,25 +163,21 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         # beta(p) has exponent h on its own side; recombination checks the quotient
         coeffs[pl.p] = _signed(basis._proven_beta(pl.p).triple, ref, pl.p, rest) // pl.order
 
-    special_coeff = coeffs.pop(2, 0) if basis.special() is not None else 0
-    terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
-    a, b, c = _product(basis, dict(terms), special_coeff)
+    a, b, c = _product(basis, coeffs)
     # t and the product are the same class exactly when (a, b) is proportional to (t.a, t.b)
     if a * t.b != b * t.a:
         raise DecompositionError(f"recombination produced {normalize(mod.m, a, b, c)}, expected {t}")
+    special_coeff = coeffs.pop(2, 0) if basis.special() is not None else 0
+    terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
     return Decomposition(mod.m, t, terms, special_coeff, verified=True)
 
 
-def _product(basis: BasisTable, terms: Mapping[int, int], special_coeff: int) -> tuple[int, int, int]:
-    """prod(beta(p)^s) * [q, r, 4]^special_coeff in Z[sqrt(-m)], as a bare element.
+def _product(basis: BasisTable, terms: Mapping[int, int]) -> tuple[int, int, int]:
+    """prod(beta(p)^s) in Z[sqrt(-m)], as a bare element.
 
     Its content is odd and lies only at the pillars where terms on
     opposite sides cancel; mul has taken out every factor 2.
     """
-    if special_coeff:
-        if basis.special() is None:
-            raise ValueError("no [q, r, 4] element exists for this modulus")
-        terms = {**terms, 2: terms.get(2, 0) + special_coeff}
     m = basis.mod.m
     acc = None
     for p, s in sorted(terms.items()):
@@ -196,12 +192,17 @@ def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 
     """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group.
 
     [q, r, 4] exists for m in {7, 15} only, and is beta(2) there, so
-    special_coeff adds to the coefficient of 2.  The sum is one product of
-    powers in Z[sqrt(-m)].  Its content is divided out at the odd pillars
-    only, where alone it can lie, without a gcd; Triple(...) still checks
-    the equation and primitivity of the result.
+    special_coeff adds to the coefficient of 2; elsewhere a nonzero one
+    raises ValueError.  The sum is one product of powers in Z[sqrt(-m)].
+    Its content is divided out at the odd pillars only, where alone it can
+    lie, without a gcd; Triple(...) still checks the equation and
+    primitivity of the result.
     """
-    a, b, c = _product(basis, terms, special_coeff)
+    if special_coeff:
+        if basis.special() is None:
+            raise ValueError("no [q, r, 4] element exists for this modulus")
+        terms = {**terms, 2: terms.get(2, 0) + special_coeff}
+    a, b, c = _product(basis, terms)
     for pl in basis.pillars:
         q = pl.p
         if q == 2 or a % q or c % q:

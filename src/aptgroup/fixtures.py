@@ -4,17 +4,18 @@ These drive the verify-paper command.  Each fixture is a name, a modulus,
 a function that recomputes values, and the published values as data;
 run_fixtures is the one comparator and writes the one failure text, "got
 X, expected Y" (a fixture that raises fails with the exception's text).
-Each run builds one class group per modulus and, on it, one basis table
-per pillar choice (the class group keeps each choice's quotient), shares
-them among that run's fixtures and drops them when it ends; nothing is
-kept between runs.
+The specials are read off BasisTable.special, which is beta(2) at m = 7
+and 15.  Each run builds one class group per modulus and, on it, one
+basis table per pillar choice (the class group keeps each choice's
+quotient), shares them among that run's fixtures and drops them when it
+ends; nothing is kept between runs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .basis import BasisTable, special_four_element
+from .basis import BasisTable
 from .classgroup import ClassGroupTable
 from .decompose import PrimeIdealRef, decompose, ideal_valuations
 from .quadfield import Modulus, SplitKind, kronecker, splitting_type
@@ -116,7 +117,7 @@ FIXTURES: tuple[Fixture, ...] = (
             ({37: 1, 5: -1}, 0, True)),
     Fixture("m974.exponents", 974, lambda tables: (_exponents(tables(974), 3), _exponents(tables(974), 37)),
             ([(1, False), (1, False)], [(3, False), (0, False)])),
-    Fixture("specials.m7-m15", 7, lambda tables: [special_four_element(Modulus(m)) for m in (7, 15, 23)],
+    Fixture("specials.m7-m15", 7, lambda tables: [tables(m).special() for m in (7, 15, 23)],
             [Triple(7, 3, 1, 4), Triple(15, 1, 1, 4), None]),
     Fixture("m35.symbols", 35, lambda tables: (kronecker(Modulus(35), 71), kronecker(Modulus(35), 5)), (1, 0)),
     Fixture("m23.symbols", 23, lambda tables: (kronecker(Modulus(23), 2), kronecker(Modulus(23), 5)), (1, -1)),

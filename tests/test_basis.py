@@ -13,7 +13,6 @@ from aptgroup.basis import (
     Category,
     NotTwoTorsionError,
     solve_norm_equation,
-    special_four_element,
     split_primes,
     two_torsion_triple,
 )
@@ -182,21 +181,29 @@ class TestLemmaOneTriple:
 
 class TestSpecialElement:
     def test_m7(self):
-        assert special_four_element(Modulus(7)) == Triple(7, 3, 1, 4)
+        bt = BasisTable(Modulus(7))
+        assert bt.special() == bt.beta(2).triple == Triple(7, 3, 1, 4)
 
     def test_m15(self):
-        assert special_four_element(Modulus(15)) == Triple(15, 1, 1, 4)
+        bt = BasisTable(Modulus(15))
+        assert bt.special() == bt.beta(2).triple == Triple(15, 1, 1, 4)
 
     @pytest.mark.parametrize("m", [23, 31, 39, 47, 974, 35])
     def test_absent_otherwise(self, m):
-        assert special_four_element(Modulus(m)) is None
+        bt = BasisTable(Modulus(m))
+        assert bt.special() is None and 2 not in bt._beta
 
     def test_closed_form_matches_scan(self):
+        found = {}
         for m in range(5, 3000):
             if is_squarefree(m):
-                mod = Modulus(m)
-                scan = [Triple(m, u, v, 4) for u, v in solve_norm_equation(mod, 16) if v > 0]
-                assert special_four_element(mod) == (scan[0] if scan else None), m
+                scan = [(u, v) for u, v in solve_norm_equation(Modulus(m), 16) if v > 0]
+                if scan:
+                    found[m] = scan
+        assert sorted(found) == [7, 15]
+        for m, [(u, v)] in found.items():
+            bt = BasisTable(Modulus(m))
+            assert bt.special() == bt.beta(2).triple == Triple(m, u, v, 4), m
 
 
 class TestExponentVectors:
@@ -445,8 +452,7 @@ class TestEnumerateBasis:
 
     def test_tiny_bound(self):
         assert BasisTable(Modulus(23)).elements(1) == []
-        specials = BasisTable(Modulus(7)).elements(1)
-        assert [el.triple for el in specials] == [Triple(7, 3, 1, 4)]
+        assert BasisTable(Modulus(7)).elements(1) == []
 
     def test_deterministic(self):
         a = [el.triple for el in BasisTable(Modulus(974)).elements(100)]

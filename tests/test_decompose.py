@@ -216,7 +216,7 @@ class TestRecombineOracle:
         for m in ms:
             bt = BasisTable(Modulus(m))
             for vec, q in opposite_side_vectors(bt, random.Random(m), count, bound, smax):
-                a, _, c = decompose_module._product(bt, vec, 0)
+                a, _, c = decompose_module._product(bt, vec)
                 assert a % q == 0 and c % q == 0, (m, vec, q)
                 t = recombine(bt, vec)
                 assert t == termwise_recombine(bt, vec), (m, vec)
@@ -253,8 +253,7 @@ class TestCheck:
             t = recombine(bt, vec, special)  # builds every beta the checks use
             gcds.clear()
             d = decompose(bt, t)
-            # basis.special() builds the constant [q, r, 4] through Triple(...), and nothing else takes a gcd
-            assert d.verified and all(max(map(abs, args)) <= 4 for args in gcds), (m, gcds)
+            assert d.verified and gcds == [], (m, gcds)
             gcds.clear()
             assert recombine(bt, vec, special) == t
             # only Triple(...) takes one, gcd(gcd(a, b), c)
@@ -263,20 +262,22 @@ class TestCheck:
 
     @pytest.mark.parametrize("wrong", ["coefficient", "sign", "conjugate"])
     def test_wrong_coefficients_raise(self, monkeypatch, wrong):
-        def mutate(terms, special):
+        def mutate(terms):
             p = max(terms)
             if wrong == "coefficient":
-                return {**terms, p: terms[p] + 1}, special
+                return {**terms, p: terms[p] + 1}
             if wrong == "sign":
-                return {**terms, p: -terms[p]}, special
-            return {q: -s for q, s in terms.items()}, -special
+                return {**terms, p: -terms[p]}
+            return {q: -s for q, s in terms.items()}
 
         product = decompose_module._product
-        monkeypatch.setattr(decompose_module, "_product", lambda bt, terms, special: product(bt, *mutate(terms, special)))
+        monkeypatch.setattr(decompose_module, "_product", lambda bt, terms: product(bt, mutate(terms)))
         for m, vec, special in self.VECTORS:
             bt = BasisTable(Modulus(m))
             t = termwise_recombine(bt, vec, special)
-            text = f"recombination produced {termwise_recombine(bt, *mutate(vec, special))}, expected {t}"
+            # decompose checks the coefficient at 2 together with the rest, the special one included
+            coeffs = {**vec, 2: vec.get(2, 0) + special} if special else vec
+            text = f"recombination produced {termwise_recombine(bt, mutate(coeffs))}, expected {t}"
             with pytest.raises(DecompositionError, match=f"^{re.escape(text)}$"):
                 decompose(bt, t)
 

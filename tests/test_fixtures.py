@@ -36,7 +36,9 @@ def groups(monkeypatch):
 def test_one_table_per_modulus_and_pillars_per_run(built):
     results = fixtures.run_fixtures()
     assert len(results) == 22 and all(ok for _, ok, _ in results)
-    want = {(35, None): 1, (23, None): 1, (23, (2,)): 1, (23, (3,)): 1, (974, None): 1}
+    # the specials fixture reads [q, r, 4] off the tables of 7 and 15
+    want = {(35, None): 1, (23, None): 1, (23, (2,)): 1, (23, (3,)): 1, (974, None): 1,
+            (7, None): 1, (15, None): 1}
     assert Counter(built) == want
     fixtures.run_fixtures()
     assert Counter(built) == {key: 2 for key in want}
@@ -46,9 +48,9 @@ def test_one_class_group_per_modulus_per_run(built, groups):
     # the three pillar choices of 23 share one class group, which keeps each choice's quotient
     results = fixtures.run_fixtures()
     assert all(ok for _, ok, _ in results)
-    assert sorted(groups) == [23, 35, 974]
+    assert sorted(groups) == [7, 15, 23, 35, 974]
     fixtures.run_fixtures(23)
-    assert sorted(groups) == [23, 23, 35, 974]
+    assert sorted(groups) == [7, 15, 23, 23, 35, 974]
 
 
 def test_one_table_for_one_modulus(built):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aptgroup import Modulus, NotASolutionError, Triple
-from aptgroup.basis import special_four_element
+from aptgroup.basis import BasisTable
 from aptgroup.quadfield import kronecker
 from aptgroup.triples import ModulusMismatchError, add, identity, normalize, parse_triple, scalar_mul
 from aptgroup.primes import factorize
@@ -99,7 +99,7 @@ class TestScalarMul:
     @pytest.mark.parametrize("m", [7, 15])
     def test_special_element_matches_double_and_add(self, m):
         # c = 4: every power carries a power of 2 in its content
-        sp = special_four_element(Modulus(m))
+        sp = BasisTable(Modulus(m)).special()
         for n in [*range(-100, 101), 1023, 1024, 4097, -12345, 19999, -20000, 20000]:
             assert scalar_mul(n, sp) == double_and_add(n, sp), n
 
