@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import reduce
@@ -61,7 +62,7 @@ from .classgroup import (
 from .primes import primes_up_to
 from .quadfield import Modulus, PrimeSplitInfo, SplitKind, splitting_type
 from .quadfield import _legendre, _split_info
-from .triples import Triple, normalize
+from .triples import Element, Ladder, Triple, normalize, power
 
 __all__ = [
     "MAX_BOUND",
@@ -218,9 +219,17 @@ def _generator_triple(mod: Modulus, form: tuple[int, int, int], n: int) -> Tripl
 class BasisTable:
     """Cached beta values over one modulus and pillar configuration.
 
-    The class group and quotient presentation are computed once; beta
-    values are filled in lazily and shared.  All state is read-only after
-    each computation, so concurrent readers are safe.
+    The class group and quotient presentation are computed once.  Filled
+    in lazily and kept as long as the table: each beta(p), the pillar forms
+    and composite cofactors they are built from, and for each p that a
+    product has powered (_power) the ladder beta(p), beta(p)^2,
+    beta(p)^4, ... of triples.power, as far as the largest |n| asked for
+    needs.  A ladder's entries add up to about twice the largest power built
+    from it, in digits.  Every memo entry is a complete, immutable value
+    stored by one assignment; a ladder is replaced whole, under a lock and
+    only by a longer tuple, never appended to.  So concurrent readers are
+    safe: two threads may both build the same entry, but neither sees a
+    partial one.
     """
 
     def __init__(
@@ -236,6 +245,8 @@ class BasisTable:
         self._pillar_of: dict[int, Pillar] = {pl.p: pl for pl in self.pillars}
         self._pillar_forms: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._cofactors: dict[FormClass, Cofactor] = {}
+        self._ladders: dict[int, Ladder] = {}
+        self._ladder_lock = threading.Lock()
 
     @property
     def pillars(self) -> tuple[Pillar, ...]:
@@ -299,6 +310,26 @@ class BasisTable:
     def _proven_beta(self, p: int) -> BasisElement:
         """beta(p) for a p already proved prime, which is not proved again."""
         return self._beta.get(p) or self._compute_beta(_split_info(self.mod, p))
+
+    def _power(self, p: int, n: int) -> Element:
+        """beta(p)^n as a bare element of Z[sqrt(-m)], read off the ladder of beta(p) the table keeps.
+
+        The first power of p starts the ladder from beta(p), which raises
+        ValueError unless p is a split prime.  A ladder that power extends
+        replaces the kept one whole, under a lock, and only when it is
+        longer, so that of two threads extending it at once the longer
+        ladder stays.
+        """
+        ladder = kept = self._ladders.get(p)
+        if ladder is None:
+            _, a, b, c = self.beta(p).triple
+            ladder = ((a, b, c),)
+        x, ladder = power(self.mod.m, ladder, n)
+        if ladder is not kept:
+            with self._ladder_lock:
+                if len(ladder) > len(self._ladders.get(p, ())):
+                    self._ladders[p] = ladder
+        return x
 
     def _squared(self, info: PrimeSplitInfo) -> tuple[tuple[int, int, int], FormClass]:
         """prime_form(p, 2), the conjugate of the square of the chosen ideal over p, and its class.

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from .basis import BasisTable
 from .primes import _divide_out, factorize
 from .quadfield import Modulus, SplitKind, _legendre, _split_info
-from .triples import Triple, mul, normalize, power
+from .triples import Triple, mul, normalize
 
 __all__ = [
     "DecompositionError",
@@ -175,15 +175,18 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
 def _product(basis: BasisTable, terms: Mapping[int, int]) -> tuple[int, int, int]:
     """prod(beta(p)^s) in Z[sqrt(-m)], as a bare element.
 
-    Its content is odd and lies only at the pillars where terms on
-    opposite sides cancel; mul has taken out every factor 2.
+    Each power is read off the ladder of beta(p) that the table keeps
+    (BasisTable._power), so a beta powered before costs no squaring, only
+    popcount(|s|) - 1 calls of mul, and one more per term after the first.
+    No beta is built for s = 0.  The content of the product is odd and lies
+    only at the pillars where terms on opposite sides cancel; mul has taken
+    out every factor 2.
     """
     m = basis.mod.m
     acc = None
     for p, s in sorted(terms.items()):
         if s:
-            t = basis.beta(p).triple
-            x = power(m, (t.a, t.b, t.c), s)
+            x = basis._power(p, s)
             acc = x if acc is None else mul(m, acc, x)
     return acc or (1, 0, 1)
 

@@ -10,7 +10,11 @@ The arithmetic runs on bare elements (a, b, c) of Z[sqrt(-m)], with
 their third components, by mul and power: a sum of many terms is one
 product, reduced to its primitive representative once.  normalize does
 that by a gcd, for any solution; decompose.recombine knows where the
-content of its product can lie and divides it out there instead.
+content of its product can lie and divides it out there instead.  power
+reads x^n off a ladder of repeated squares x, x^2, x^4, ..., which it
+extends as far as n needs; scalar_mul starts a fresh one from its triple
+each time, while basis.BasisTable keeps one per beta, so that powering a
+beta again squares nothing already squared.
 """
 
 from __future__ import annotations
@@ -140,24 +144,38 @@ def mul(m: int, x: Element, y: Element) -> Element:
     return a >> k, b >> k, c >> k
 
 
-def power(m: int, x: Element, n: int) -> Element:
-    """x^n by left-to-right binary powering (Cohen, GTM 138, Alg. 1.2.3); n < 0 powers the conjugate.
+Ladder = tuple[Element, ...]
 
-    It starts from the base, not from the identity, and multiplies the
-    power only by the base, the smaller factor.  For a primitive x the
-    content of x^n is a power of 2, which mul takes out at each step: an
-    odd q would have to divide both ideals over q, or be ramified or inert.
+
+def power(m: int, ladder: Ladder, n: int) -> tuple[Element, Ladder]:
+    """x^n by right-to-left binary powering (Cohen, GTM 138, Alg. 1.2.1), and the ladder it used.
+
+    ladder is x, x^2, x^4, ..., at least x, each entry the mul of the one
+    before by itself.  x^n is the product of the entries at the set bits of
+    |n|, popcount(|n|) - 1 calls of mul; the ladder is squared on past its
+    end only where |n| needs it, into a new tuple that is returned (ladder
+    itself when it was long enough), so a caller may keep it for the next
+    power.  n < 0 gives the conjugate of x^|n|, which is the power of the
+    conjugate.  For a primitive x the content of x^n is a power of 2: an
+    odd q would have to divide both ideals over q, or be ramified or
+    inert.  mul takes the 2 out at each step, so any order of the products
+    gives x^n over its full 2-content, the same element.
     """
     if not n:
-        return 1, 0, 1
-    a, b, c = x
-    base = (a, -b, c) if n < 0 else x
-    acc = base
-    for bit in bin(abs(n))[3:]:
-        acc = mul(m, acc, acc)
-        if bit == "1":
-            acc = mul(m, acc, base)
-    return acc
+        return (1, 0, 1), ladder
+    k = abs(n)
+    while len(ladder) < k.bit_length():
+        x = ladder[-1]
+        ladder += (mul(m, x, x),)
+    acc = None
+    for x in ladder:
+        if k & 1:
+            acc = x if acc is None else mul(m, acc, x)
+        k >>= 1
+        if not k:
+            break
+    a, b, c = acc
+    return ((a, -b, c) if n < 0 else acc), ladder
 
 
 def add(t1: Triple, t2: Triple) -> Triple:
@@ -169,4 +187,5 @@ def add(t1: Triple, t2: Triple) -> Triple:
 
 def scalar_mul(n: int, t: Triple) -> Triple:
     """n-fold sum: one power of a + b*sqrt(-m), normalized once; scalar_mul(0, t) is the identity."""
-    return normalize(t.m, *power(t.m, (t.a, t.b, t.c), n))
+    x, _ = power(t.m, ((t.a, t.b, t.c),), n)
+    return normalize(t.m, *x)

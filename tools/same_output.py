@@ -51,7 +51,8 @@ has content there: 20 vectors with coefficients up to 60 at m = 974, 6
 up to 20 at m = 10000019 (pillar 3, of order 1275) and 3 up to 30 at
 every 20th square-free m < 3000 that has an odd pillar.  It takes about
 ten seconds.  tests/test_same_output.py loads this file by path and pins
-digests 2, 3, 4, 6, 7, 8, 11 and 12, which take about a second together.
+digests 2, 3, 4, 6, 7, 8, 11, 12 and 14, which take about two seconds
+together.
 """
 
 import contextlib
