@@ -16,18 +16,21 @@ triple, built from a prime-ideal product whose class is 2-torsion:
     pillar order) the one with the smallest first component wins.
 
 Each triple comes from the generator of a squared ideal, found by
-Cornacchia's algorithm (two_torsion_triple): the squared ideal is the
-Gauss composition of the forms of its prime-power factors
-(classgroup.prime_form and united).  A table reads all it needs of p off
-one form, prime_form(p, 2), the square of the ideal over p: reduced, it is
-the image of p in Cl^2, which gives the category; unreduced, it is the
-form of the factor over p.  The pillar exponents and flags of a composite
-p depend only on that image, so a table builds the pillar part of the
-squared ideal once per class of Cl^2, one united form per admissible
-pattern, and a composite beta costs one composition and one Euclid run
-per pattern (one, but for a tie at half a pillar order).  A pillar or
-two-torsion beta costs one Euclid run.  A table computes each beta(p) once,
-from one record of the splitting data of p: BasisTable.beta proves p prime, while
+Cornacchia's algorithm (two_torsion_triple), which reads only the first
+two coefficients (N, B) of the squared ideal's form: each prime-power
+factor is carried as the pair (p^k, b) of classgroup.prime_form, and
+factors of coprime norms glue by CRT on b (_glue).  A table reads all it
+needs of a non-pillar p off one form, prime_form(p, 2), the square of the
+ideal over p: reduced, it is the image of p in Cl^2, which gives the
+category; unreduced, it is the factor over p.  A pillar's factors read
+their root of -m off one lift per pillar (_pillar_factor).  The pillar
+exponents and flags of a composite p depend only on that image, so a
+table builds the pillar part of the squared ideal once per class of
+Cl^2, one glued factor per admissible pattern, and a composite beta costs
+one CRT step and one Euclid run per pattern (one, but for a tie at half a
+pillar order).  A pillar or two-torsion beta costs one Euclid run.  A
+table computes each beta(p) once, from one record of the splitting data
+of p: BasisTable.beta proves p prime, while
 elements and decompose, whose primes come from the sieve or from
 factorize, proved already, prove none.  elements classifies each sieved
 prime by that record alone: whether -m has a square root mod p tells
@@ -42,25 +45,14 @@ reads off the memo; no other modulus has one.
 from __future__ import annotations
 
 import enum
-import itertools
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import reduce
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
-from .classgroup import (
-    ClassGroupTable,
-    FormClass,
-    Pillar,
-    QuotientData,
-    prime_form,
-    quotient_setup,
-    reduce_form,
-    united,
-)
+from .classgroup import ClassGroupTable, FormClass, Pillar, QuotientData, prime_form, quotient_setup, reduce_form
 from .primes import primes_up_to
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, splitting_type
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, lift_root, splitting_type
 from .quadfield import _legendre, _split_info
 from .triples import Element, Ladder, Triple, normalize, power
 
@@ -114,8 +106,11 @@ class ExpEntry(namedtuple("ExpEntry", "j a conj")):
     __slots__ = ()
 
 
-# a composite beta's pillar exponents, pillar norm and pillar forms, one per admissible pattern
-Cofactor = tuple[tuple[ExpEntry, ...], int, tuple[tuple[int, int, int], ...]]
+# a prime-power factor of a squared ideal: the first two coefficients (p^k, b) of its form
+Factor = tuple[int, int]
+
+# a composite beta's pillar exponents, pillar norm and glued pillar factors, one per admissible pattern
+Cofactor = tuple[tuple[ExpEntry, ...], int, tuple[Factor, ...]]
 
 
 class BasisElement(namedtuple("BasisElement", "p triple category pillar_index exps", defaults=(None, ()))):
@@ -169,13 +164,13 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
     factors lists (split info, exponent, conjugate) triples of distinct
     split primes with exponent at least 1; the product I of norm n must
     have class of order at most 2, so that I^2 is principal with a
-    generator z of norm n^2.  The factors' forms prime_form(p, 2e), b
-    negated for a conjugate factor, compose (unreduced, by united) to the
-    form (N, B, C) of the conjugate of I^2, N = n^2; so I^2 = <N, (r +
-    sqrt(-m)) / 2^(1-delta)> with r = B / 2^delta a square root of -m
-    modulo 4N / 2^(2 delta).  Cornacchia's algorithm on (N, r), or on
-    (2N, r) for 4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and 1.5.3),
-    finds z or shows that I^2 is not principal.  Conjugating every factor
+    generator z of norm n^2.  The factors (p^2e, b) of prime_form(p, 2e),
+    b negated for a conjugate factor, glue (_glue) to the first two
+    coefficients (N, B) of the form of the conjugate of I^2, N = n^2; so
+    I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)> with r = B / 2^delta a square
+    root of -m modulo 4N / 2^(2 delta).  Cornacchia's algorithm on (N, r),
+    or on (2N, r) for 4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and
+    1.5.3), finds z or shows that I^2 is not principal.  Conjugating every factor
     gives the same triple.  The empty product gives the identity.
     """
     factors = list(factors)
@@ -183,23 +178,37 @@ def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
         raise ValueError("factors must be distinct split primes with exponents at least 1")
     if not factors:
         return Triple(mod.m, 1, 0, 1)
-    n, form = 1, None
+    n, factor = 1, (1, mod.disc % 2)
     for info, e, conj in factors:
         n *= info.p**e
-        a, b, c = prime_form(mod, info, 2 * e)
-        f = (a, -b, c) if conj else (a, b, c)
-        form = f if form is None else united(form, f)
-    return _generator_triple(mod, form, n)
+        a, b, _ = prime_form(mod, info, 2 * e)
+        factor = _glue(factor, (a, -b if conj else b))
+    return _generator_triple(mod, factor, n)
 
 
-def _generator_triple(mod: Modulus, form: tuple[int, int, int], n: int) -> Triple:
-    """The triple of the generator of I^2, given the unreduced form (n^2, B, C) of its conjugate.
+def _glue(f: Factor, g: Factor) -> Factor:
+    """The factor of the product of two ideals of coprime norms; (1, disc mod 2) is the unit.
+
+    Gauss composition (classgroup.united; Cohen, GTM 138, Alg. 5.4.7) with
+    d = 1 is N = a1 a2 and, by CRT, B = b1 (mod 2 a1) and b2 (mod 2 a2),
+    inverting modulo the smaller norm as united does.  Both b have the
+    parity of disc, so (b1 - b2) / 2 is exact; pow raises if the norms
+    share a prime.
+    """
+    (a1, b1), (a2, b2) = f, g
+    if a1 > a2:
+        (a1, b1), (a2, b2) = g, f
+    return a1 * a2, b2 + 2 * a2 * ((b1 - b2) // 2 * pow(a2, -1, a1) % a1)
+
+
+def _generator_triple(mod: Modulus, factor: Factor, n: int) -> Triple:
+    """The triple of the generator of I^2, given the first coefficients (n^2, B) of the form of its conjugate.
 
     Cornacchia's algorithm, as two_torsion_triple states it; raises
     NotTwoTorsionError when I^2 has no generator.
     """
-    modulus = form[0] << (1 - mod.delta)
-    r = (form[1] >> mod.delta) % modulus
+    modulus = factor[0] << (1 - mod.delta)
+    r = (factor[1] >> mod.delta) % modulus
     # Cornacchia: Euclid on (modulus, r) down to the square root of the norm
     norm = modulus << (1 - mod.delta)
     a, b, limit = modulus, r, isqrt(norm)
@@ -220,16 +229,19 @@ class BasisTable:
     """Cached beta values over one modulus and pillar configuration.
 
     The class group and quotient presentation are computed once.  Filled
-    in lazily and kept as long as the table: each beta(p), the pillar forms
-    and composite cofactors they are built from, and for each p that a
-    product has powered (_power) the ladder beta(p), beta(p)^2,
-    beta(p)^4, ... of triples.power, as far as the largest |n| asked for
-    needs.  A ladder's entries add up to about twice the largest power built
-    from it, in digits.  Every memo entry is a complete, immutable value
-    stored by one assignment; a ladder is replaced whole, under a lock and
-    only by a longer tuple, never appended to.  So concurrent readers are
-    safe: two threads may both build the same entry, but neither sees a
-    partial one.
+    in lazily and kept as long as the table: each beta(p); one Hensel lift
+    (precision, root) of -m per pillar (_pillar_factor), at most 2h (2h + 1
+    at a split 2) digits of p; the composite cofactors, at most one per
+    class of Cl^2; and for each p that a product has powered (_power) the
+    ladder beta(p), beta(p)^2, beta(p)^4, ... of triples.power, as far as
+    the largest |n| asked for needs.  A ladder's entries add up to about
+    twice the largest power built from it, in digits.  Every memo entry is
+    a complete, immutable value stored by one assignment; a lift is
+    replaced whole, by one at least twice as precise, and a ladder whole,
+    under a lock and only by a longer tuple, never appended to.  So
+    concurrent readers are safe: two threads may both build the same entry,
+    and a lift may be replaced by a shorter one, which is still exact to
+    its own precision, but no thread sees a partial one.
     """
 
     def __init__(
@@ -243,7 +255,7 @@ class BasisTable:
         self.quotient: QuotientData = quotient_setup(self.table, pillars)
         self._beta: dict[int, BasisElement] = {}
         self._pillar_of: dict[int, Pillar] = {pl.p: pl for pl in self.pillars}
-        self._pillar_forms: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self._pillar_roots: dict[int, tuple[int, int]] = {}
         self._cofactors: dict[FormClass, Cofactor] = {}
         self._ladders: dict[int, Ladder] = {}
         self._ladder_lock = threading.Lock()
@@ -331,21 +343,31 @@ class BasisTable:
                     self._ladders[p] = ladder
         return x
 
-    def _squared(self, info: PrimeSplitInfo) -> tuple[tuple[int, int, int], FormClass]:
-        """prime_form(p, 2), the conjugate of the square of the chosen ideal over p, and its class.
+    def _squared(self, info: PrimeSplitInfo) -> tuple[Factor, FormClass]:
+        """The factor of prime_form(p, 2), the conjugate of the square of the chosen ideal over p, and its class.
 
         That class is the image of p in Cl^2, the square of class_of_prime(p),
         and p is two-torsion exactly when it is the identity.
         """
-        own = prime_form(self.mod, info, 2)
-        return own, reduce_form(*own)
+        a, b, c = prime_form(self.mod, info, 2)
+        return (a, b), reduce_form(a, b, c)
 
-    def _pillar_form(self, j: int, a: int, conj: bool) -> tuple[int, int, int]:
-        """prime_form(pillar j, 2a), b negated for the conjugate; lifted once per (j, a)."""
-        f = self._pillar_forms.get((j, a))
-        if f is None:
-            f = self._pillar_forms[j, a] = prime_form(self.mod, self.pillars[j - 1].info, 2 * a)
-        return (f[0], -f[1], f[2]) if conj else f
+    def _pillar_factor(self, pl: Pillar, k: int) -> Factor:
+        """The factor (p^k, b) of prime_form(p, k) for a pillar p, read off the lift the table keeps.
+
+        The root of -m mod p^k (2^(k+1) at 2) is the kept lift reduced, as a
+        Hensel lift is unique.  A lift too short for it is replaced
+        whole by one at least twice as precise, capped at what the pillar's
+        own beta needs, so a pillar is lifted O(log h) times in all.
+        """
+        p, e = pl.p, k + (pl.p == 2)
+        prec, root = self._pillar_roots.get(pl.index, (0, 0))
+        if prec < e:
+            prec = min(max(e, 2 * prec), 2 * pl.order + (p == 2))
+            root = lift_root(self.mod, p, pl.info.root, prec)
+            self._pillar_roots[pl.index] = (prec, root)
+        a, b, _ = prime_form(self.mod, pl.info, k, root % p**e)
+        return a, b
 
     def _cofactor(self, image: FormClass) -> Cofactor:
         """The pillar part of every composite beta whose image in Cl^2 is image, built once per class.
@@ -357,39 +379,35 @@ class BasisTable:
         class by the pillar's class to the power -+2a, which by the
         independence of the pillar images stays 2-torsion iff 2a = h.
         Returns the exponents, the pillar norm prod p_j^a_j and, for each
-        admissible conjugation pattern, the unreduced united form of the
-        pillar factors prime_form(p_j, 2a_j).
+        admissible conjugation pattern, in one loop over the pillars, the
+        glued pillar factors (p_j^2a_j, +-b_j) of prime_form(p_j, 2a_j).
         """
         entry = self._cofactors.get(image)
         if entry is None:
-            exps = tuple(
-                ExpEntry(pl.index, min(b, pl.order - b), b > pl.order // 2)
-                for b, pl in zip(self.quotient.image_coords(image.inverse()), self.pillars)
-            )
-            choices = [
-                [(e.j, e.a, c) for c in ((False, True) if 2 * e.a == pl.order else (e.conj,))]
-                for e, pl in zip(exps, self.pillars)
-                if e.a
-            ]
-            forms = tuple(
-                reduce(united, (self._pillar_form(*factor) for factor in pattern))
-                for pattern in itertools.product(*choices)
-            )
-            n = prod(pl.p**e.a for e, pl in zip(exps, self.pillars))
-            entry = self._cofactors[image] = (exps, n, forms)
+            exps, n, parts = [], 1, [(1, self.mod.disc % 2)]
+            for b, pl in zip(self.quotient.image_coords(image.inverse()), self.pillars):
+                a, conj = min(b, pl.order - b), b > pl.order // 2
+                exps.append(ExpEntry(pl.index, a, conj))
+                if a:
+                    n *= pl.p**a
+                    q, r = self._pillar_factor(pl, 2 * a)
+                    flags = (False, True) if 2 * a == pl.order else (conj,)
+                    parts = [_glue(part, (q, -r if c else r)) for part in parts for c in flags]
+            entry = self._cofactors[image] = (tuple(exps), n, tuple(parts))
         return entry
 
     def _compute_beta(self, info: PrimeSplitInfo) -> BasisElement:
         """beta(p) from the splitting data of p, stored in the memo.
 
         One branch per category, each ending in Cornacchia's algorithm.  A
-        pillar p, of order h, takes one run on prime_form(p, 2h).  Any other
-        p reads its category off one form, prime_form(p, 2), whose class is
-        the image of p in Cl^2: the identity for a two-torsion p, which takes
-        one run on that form.  A composite p takes the pillar cofactor of
-        its image (_cofactor), united with the unreduced prime_form(p, 2),
-        and one run per admissible pattern; when a tie 2a = h admits more
-        than one, the triple is the smallest, by (a, c), of their generators.
+        pillar p, of order h, takes one run on its factor of prime_form(p,
+        2h), read off the table's lift.  Any other p reads its category off
+        one form, prime_form(p, 2), whose class is the image of p in Cl^2:
+        the identity for a two-torsion p, which takes one run on its factor.
+        A composite p glues that factor to each pillar factor of its image's
+        cofactor (_cofactor) and takes one run per admissible pattern; when
+        a tie 2a = h admits more than one, the triple is the smallest, by
+        (a, c), of their generators.
         """
         p = info.p
         if info.kind is not SplitKind.SPLIT:
@@ -397,15 +415,15 @@ class BasisTable:
         pillar = self._pillar_of.get(p)
         if pillar is not None:
             k = pillar.order
-            triple = _generator_triple(self.mod, prime_form(self.mod, info, 2 * k), p**k)
+            triple = _generator_triple(self.mod, self._pillar_factor(pillar, 2 * k), p**k)
             el = BasisElement(p, triple, Category.PILLAR, pillar.index)
         else:
             own, image = self._squared(info)
             if image == self.table.identity:
                 el = BasisElement(p, _generator_triple(self.mod, own, p), Category.TWO_TORSION)
             else:
-                exps, n, forms = self._cofactor(image)
-                found = [_generator_triple(self.mod, united(own, f), p * n) for f in forms]
+                exps, n, parts = self._cofactor(image)
+                found = [_generator_triple(self.mod, _glue(own, f), p * n) for f in parts]
                 triple = found[0] if len(found) == 1 else min(found, key=lambda t: (t.a, t.c))
                 el = BasisElement(p, triple, Category.COMPOSITE, None, exps)
         return self._beta.setdefault(p, el)

@@ -152,7 +152,7 @@ def compose_forms(f: FormClass, g: FormClass) -> FormClass:
     return reduce_form(*united(f, g))
 
 
-def prime_form(mod: Modulus, info: PrimeSplitInfo, k: int = 1) -> tuple[int, int, int]:
+def prime_form(mod: Modulus, info: PrimeSplitInfo, k: int = 1, root: int | None = None) -> tuple[int, int, int]:
     """The unreduced form (p^k, b, c) of the k-th power of the conjugate of the chosen ideal over p.
 
     The form (a, b, c) stands for the ideal [a, (-b + sqrt(disc))/2]
@@ -162,11 +162,14 @@ def prime_form(mod: Modulus, info: PrimeSplitInfo, k: int = 1) -> tuple[int, int
     conjugate of the chosen ideal <p, r + sqrt(-m)> of PrimeSplitInfo; b
     negated gives the chosen ideal.  A split 2 has r = 1 (mod 4) and, as
     4a must divide b^2 - disc, one more power.  For k > 1 the root is
-    lifted by lift_root.  Split or ramified p; a ramified p takes k = 1.
+    lifted by lift_root, unless the caller passes it, reduced, as root.
+    Split or ramified p; a ramified p takes k = 1.
     """
     p = info.p
     a = p**k
-    r = info.root if k == 1 else lift_root(mod, p, info.root, k + (p == 2))
+    r = root
+    if r is None:
+        r = info.root if k == 1 else lift_root(mod, p, info.root, k + (p == 2))
     b = 2 * r if mod.delta else r if r % 2 else r + a
     n = b * b - mod.disc
     # over 2, c is a shift; a long division by 2^(k+2) would take time quadratic in k

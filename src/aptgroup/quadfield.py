@@ -96,16 +96,19 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Canonical square root of a mod an odd prime p.
 
     Returns r with r*r = a (mod p) and 0 < r <= (p-1)/2 when a is a nonzero
-    residue, 0 when p | a, and None when a is a non-residue (Tonelli-Shanks
-    in the 1 mod 4 case).
+    residue, 0 when p | a, and None when a is a non-residue: for p = 3
+    (mod 4) r = a^((p+1)/4), whose square is +-a, decides; else Euler's
+    criterion, then Tonelli-Shanks.
     """
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
+        if r * r % p != a:
+            return None
+    elif pow(a, (p - 1) // 2, p) != 1:
+        return None
     else:
         q, s = p - 1, 0
         while q % 2 == 0:
@@ -165,7 +168,7 @@ def _legendre(mod: Modulus, p: int) -> int:
 def _split_info(mod: Modulus, p: int) -> PrimeSplitInfo:
     """splitting_type for a p already known to be prime.
 
-    An odd p costs one sqrt_mod, whose Euler criterion is the Legendre
+    An odd p costs one sqrt_mod, whose residue test is the Legendre
     symbol: None is inert, 0 ramified, any other root split.
     """
     if p == 2:

@@ -6,7 +6,7 @@ import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
 from aptgroup.basis import BasisElement, Category, ExpEntry, NotTwoTorsionError, two_torsion_triple
-from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
+from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms, prime_form, united
 from aptgroup.primes import factorize, is_prime
 from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root, splitting_type
 from aptgroup.triples import add, identity, normalize
@@ -116,12 +116,12 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
     """two_torsion_triple with the square root of -m modulo N glued by CRT.
 
-    The oracle for basis.two_torsion_triple, which composes the factors'
-    forms instead.  I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)> with N = n^2 and
-    r a square root of -m modulo 4N / 2^(2 delta), built by CRT from the
-    Newton-lifted roots of the factors; Cornacchia's algorithm on (N, r),
-    or on (2N, r) for 4N when delta = 0, finds the generator or raises
-    NotTwoTorsionError.  Raises ValueError on the same inputs.
+    An oracle for basis.two_torsion_triple, which glues the middle
+    coefficients of the factors' forms instead.  I^2 = <N, (r + sqrt(-m))
+    / 2^(1-delta)> with N = n^2 and r a square root of -m modulo 4N /
+    2^(2 delta), built by CRT from the Newton-lifted roots of the factors;
+    oracle_generator finds the generator or raises NotTwoTorsionError.
+    Raises ValueError on the same inputs.
     """
     factors = list(factors)
     n = 1
@@ -139,7 +139,17 @@ def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
         return Triple(mod.m, 1, 0, 1)
     if modulus != n * n << (1 - mod.delta):
         raise ValueError("each prime may appear in only one factor")
-    norm = n * n << 2 * (1 - mod.delta)
+    return oracle_generator(mod, r, n)
+
+
+def oracle_generator(mod: Modulus, r: int, n: int) -> Triple:
+    """The triple of the generator of I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)>, N = n^2, r reduced.
+
+    Cornacchia's algorithm on (N, r), or on (2N, r) for 4N when delta = 0;
+    raises NotTwoTorsionError when I^2 has no generator of norm N.
+    """
+    modulus = n * n << (1 - mod.delta)
+    norm = modulus << (1 - mod.delta)
     a, b, limit = modulus, r, isqrt(norm)
     while b > limit:
         a, b = b, a % b
@@ -148,6 +158,29 @@ def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
     if rest or y * y != y2 or ((b - r * y) % modulus and (b + r * y) % modulus):
         raise NotTwoTorsionError("ideal product has no generator of the required norm")
     return normalize(mod.m, b, y, n << (1 - mod.delta))
+
+
+def united_two_torsion_triple(mod: Modulus, factors) -> Triple:
+    """two_torsion_triple with the factors' forms composed by Gauss composition.
+
+    An oracle for basis.two_torsion_triple: the forms prime_form(p, 2e), b
+    negated for a conjugate factor, compose unreduced by classgroup.united
+    to the form (N, B, C) of the conjugate of I^2, N = n^2, and
+    oracle_generator takes r = B / 2^delta.  Raises ValueError on the same
+    inputs.
+    """
+    factors = list(factors)
+    if len({info.p for info, e, _ in factors if info.kind is SplitKind.SPLIT and e >= 1}) != len(factors):
+        raise ValueError("factors must be distinct split primes with exponents at least 1")
+    if not factors:
+        return Triple(mod.m, 1, 0, 1)
+    n, form = 1, None
+    for info, e, conj in factors:
+        n *= info.p**e
+        a, b, c = prime_form(mod, info, 2 * e)
+        f = (a, -b, c) if conj else (a, b, c)
+        form = f if form is None else united(form, f)
+    return oracle_generator(mod, (form[1] >> mod.delta) % (form[0] << (1 - mod.delta)), n)
 
 
 def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:

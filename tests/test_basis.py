@@ -1,9 +1,16 @@
 import itertools
 from collections import Counter
-from math import gcd, prod
+from math import ceil, gcd, log2, prod
 
 import pytest
-from conftest import class_route_beta, crt_two_torsion_triple, form_power, ideal_valuation, third_shape
+from conftest import (
+    class_route_beta,
+    crt_two_torsion_triple,
+    form_power,
+    ideal_valuation,
+    third_shape,
+    united_two_torsion_triple,
+)
 
 from aptgroup.basis import (
     MAX_BOUND,
@@ -18,7 +25,7 @@ from aptgroup.basis import (
 )
 from aptgroup import basis, classgroup, primes, quadfield
 from aptgroup.classgroup import ClassGroupTable, compose_forms, prime_form, reduce_form
-from aptgroup.fixtures import BETA23_PILLAR2, BETA23_PILLAR3
+from aptgroup.fixtures import BETA23_PILLAR2, BETA23_PILLAR3, BETA974
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
 from aptgroup.quadfield import Modulus, splitting_type
@@ -602,7 +609,7 @@ class TestClassRoute:
     @pytest.mark.parametrize("first", [(2,), (3,)])
     def test_pillar_forms_are_kept_per_table(self, first):
         # the default table of 23 has pillar 2; an override on the same
-        # class group must not read the default's memoized pillar powers
+        # class group must not read the default's kept pillar root
         mod = Modulus(23)
         table = ClassGroupTable(mod)
         bts = {(2,): BasisTable(mod, table=table), (3,): BasisTable(mod, (3,), table=table)}
@@ -612,8 +619,8 @@ class TestClassRoute:
             for p, t in want[key].items():
                 got = bts[key].beta(p).triple
                 assert (got.a, got.b, got.c) == t, (key, p)
-        assert bts[(2,)]._pillar_forms.keys() == bts[(3,)]._pillar_forms.keys() == {(1, 1)}
-        assert bts[(2,)]._pillar_forms != bts[(3,)]._pillar_forms
+        assert bts[(2,)]._pillar_roots.keys() == bts[(3,)]._pillar_roots.keys() == {1}
+        assert bts[(2,)]._pillar_roots[1][1] != bts[(3,)]._pillar_roots[1][1]
 
 
 class TestCofactorMemo:
@@ -632,8 +639,8 @@ class TestCofactorMemo:
             images.setdefault(self.image(bt, p), []).append(p)
         assert set(bt._cofactors) == set(images)
         assert len(bt._cofactors) < bt.quotient.size
-        # two primes of one image share the entry: the second composes and
-        # runs Cornacchia once per admissible pattern, and lifts no pillar form
+        # two primes of one image share the entry: the second glues and
+        # runs Cornacchia once per admissible pattern, and lifts no pillar root
         p1, p2 = next(ps for ps in images.values() if len(ps) > 1)[:2]
         fresh = BasisTable(bt.mod, table=bt.table)
         fresh.beta(p1)
@@ -646,18 +653,132 @@ class TestCofactorMemo:
                 return real(*args)
             return spy
 
-        for name in ("united", "_generator_triple", "prime_form"):
+        for name in ("_glue", "_generator_triple", "prime_form", "lift_root"):
             monkeypatch.setattr(basis, name, counting(name, getattr(basis, name)))
         assert fresh.beta(p2) == bt.beta(p2)
         assert fresh._cofactors == {self.image(bt, p1): entry}
-        forms = len(entry[2])
-        assert calls == {"united": forms, "_generator_triple": forms, "prime_form": 1}
+        parts = len(entry[2])
+        assert calls == {"_glue": parts, "_generator_triple": parts, "prime_form": 1}
 
     def test_memo_is_bounded_by_the_quotient(self):
         bt = BasisTable(Modulus(974))
         bt.elements(5000)
         assert len(bt._cofactors) == bt.quotient.size - 1 == 17
         assert bt.table.identity not in bt._cofactors
+
+
+def _trial_root(m, q):
+    """The smaller square root of -m modulo an odd prime q, by trial; 1 at a split 2."""
+    return 1 if q == 2 else min(x for x in range(1, q) if (x * x + m) % q == 0)
+
+
+def _on_conjugate(t, q):
+    """Whether the generator of t lies over <q, -r + sqrt(-m)>, the conjugate of the chosen ideal.
+
+    At an odd q, a + b sqrt(-m) lies in it when a + b r = 0 (mod q).  At a
+    split 2, a and b are odd and the generator is (a + b sqrt(-m))/2 =
+    (a - b)/2 + b w with w = (1 + sqrt(-m))/2, which lies in <2, 1 - w>
+    when a + b = 0 (mod 4).
+    """
+    return (t.a + t.b * _trial_root(t.m, q)) % (4 if q == 2 else q) == 0
+
+
+def check_beta_shape(bt, el, t):
+    """The trial-division oracle for a beta at any h: the primes of c and the side at each.
+
+    It shares no code with the library's routes.  When a and b are both
+    odd, c is twice the norm of the ideal I whose square the generator
+    (a + b sqrt(-m))/2 generates; otherwise c is that norm.  The norm is
+    divided by p and by the pillar primes down to 1: v_p is 1 (a pillar's
+    order for a pillar) and v_pj the exponent a_j.  A composite's pillar
+    factor lies on the side of p's factor unless its conj flag is set;
+    at a tie 2 a_j = h_j either side is admissible, and it is not checked.
+    Returns the conj flags checked.
+    """
+    rest = t.c >> 1 if t.a & t.b & 1 else t.c
+    want = {el.p: bt.pillars[el.pillar_index - 1].order if el.category is Category.PILLAR else 1}
+    want.update((pl.p, e.a) for e, pl in zip(el.exps, bt.pillars) if e.a)
+    for q, v in want.items():
+        got = 0
+        while rest % q == 0:
+            rest, got = rest // q, got + 1
+        assert got == v, (el, q)
+    assert rest == 1, el
+    checked = []
+    for e, pl in zip(el.exps, bt.pillars):
+        if e.a and 2 * e.a != pl.order:
+            assert _on_conjugate(t, pl.p) == _on_conjugate(t, el.p) ^ e.conj, (el, pl.p)
+            checked.append(e.conj)
+    return checked
+
+
+class TestLargeClassNumberBetas:
+    """Every beta p <= 60 at m = 10000019 (h = 1275) and 10^8 + 7 (h = 7253), by check_beta_shape.
+
+    The oracle's side convention is first checked on the published betas.
+    About 0.2 s, nearly all of it the two class groups.
+    """
+
+    @pytest.mark.parametrize(
+        "m,pillars,values,flags",
+        [(974, None, BETA974, {False}), (23, (2,), BETA23_PILLAR2, {False, True}), (23, (3,), BETA23_PILLAR3, {False, True})],
+    )
+    def test_convention_on_published_betas(self, m, pillars, values, flags):
+        bt = BasisTable(Modulus(m), pillars)
+        checked = [f for p, abc in values.items() for f in check_beta_shape(bt, bt.beta(p), Triple(m, *abc))]
+        assert set(checked) == flags
+
+    @pytest.mark.parametrize("m,pillar,composites", [(10000019, (3, 1275), 8), (10**8 + 7, (2, 7253), 6)])
+    def test_betas(self, m, pillar, composites):
+        bt = BasisTable(Modulus(m))
+        assert [(pl.p, pl.order) for pl in bt.pillars] == [pillar]
+        els = bt.elements(60)
+        assert sum(el.category is Category.COMPOSITE for el in els) == composites
+        checked = [f for el in els for f in check_beta_shape(bt, el, el.triple)]
+        assert set(checked) == {False, True}
+
+
+class TestPillarLifts:
+    """A table lifts each pillar's root of -m O(log h) times, whatever the exponents.
+
+    A spy on lift_root, the one Newton lift.  About 0.05 s.
+    """
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        calls = []
+        real = quadfield.lift_root
+
+        def spy(mod, p, root, k):
+            calls.append((p, k))
+            return real(mod, p, root, k)
+
+        monkeypatch.setattr(classgroup, "lift_root", spy)
+        monkeypatch.setattr(basis, "lift_root", spy)
+        return calls
+
+    # ascending, a pillar's own beta comes early and lifts to its 2h, which
+    # every later factor reads (at 10000019, 3 is the first split prime);
+    # descending, the composites' lifts double up to it (at 10000019, to
+    # 500, 1000, 2000 and 2550)
+    @pytest.mark.parametrize(
+        "m,descending,counts",
+        [(10000019, False, {3: 1}), (10000019, True, {3: 4}), (974, False, {5: 2, 41: 2}), (974, True, {5: 4, 41: 2})],
+    )
+    def test_elements(self, lifts, m, descending, counts):
+        bt = BasisTable(Modulus(m))
+        split = bt.split_primes(400)
+        lifts.clear()
+        for p in reversed(split) if descending else ():
+            bt.beta(p)
+        assert [el.p for el in bt.elements(400)] == split
+        pillars = {pl.p: pl.order for pl in bt.pillars}
+        per_prime = Counter(p for p, _ in lifts)
+        assert {p: per_prime[p] for p in pillars} == counts
+        for p, h in pillars.items():
+            assert per_prime[p] <= ceil(log2(2 * h + 1)) + 1
+        # every other prime lifts only its own square
+        assert sorted((p, k) for p, k in lifts if p not in pillars) == [(p, 2 + (p == 2)) for p in split if p not in pillars]
 
 
 def _outcome(route, mod, factors):
@@ -671,8 +792,9 @@ def _outcome(route, mod, factors):
 def test_two_torsion_triple_matches_crt_route():
     # every list of one split p <= 60 (exponent 1-3, either flag) and up to
     # two pillar factors (exponent 1-3, either flag), p a pillar included:
-    # composing the prime forms gives the triple, or the error, that gluing
-    # the lifted roots by CRT gives
+    # gluing the forms' middle coefficients gives the triple, or the error,
+    # that gluing the lifted roots by CRT gives, and that composing the
+    # prime forms by united gives
     outcomes = set()
     for m in SWEEP + [974]:
         mod = Modulus(m)
@@ -685,6 +807,7 @@ def test_two_torsion_triple_matches_crt_route():
                 factors = [(info, e, conj), *tail]
                 got = _outcome(two_torsion_triple, mod, factors)
                 assert got == _outcome(crt_two_torsion_triple, mod, factors), (m, factors)
+                assert got == _outcome(united_two_torsion_triple, mod, factors), (m, factors)
                 outcomes.add(got if isinstance(got, type) else Triple)
     assert outcomes == {Triple, NotTwoTorsionError, ValueError}
 

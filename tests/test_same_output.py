@@ -3,8 +3,9 @@
 The values are those recorded in CHANGES.md.  A change that alters one of
 these outputs on purpose updates its digest here and lists it there.
 Digest 14, about 0.8 s, hashes recombine and decompose where content lies
-at an odd pillar.  Digests 1, 5, 9, 10 and 13 take seconds each and stay
-in the tool.
+at an odd pillar; digest 15, about 0.15 s, the betas p <= 60 at
+m = 10000019 and 10^8 + 7, whose class numbers are 1275 and 7253.
+Digests 1, 5, 9, 10 and 13 take seconds each and stay in the tool.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ PINNED = {
     11: "ef7546a3bd5f56cf011ed87b2475642f7e5596f60d51c6010dc68eb186b241a1",
     12: "292bfefeac6049eb1a057d59f796ae7d3cf78a47afd91fda8aa2686f7bb73f43",
     14: "ccaa3cb862b69d12a817ecaf100e98a799cb3c4e577ed25bdfefea0a4576cfe7",
+    15: "5527de7c5744f416def832a33a08645bef37d628da0305b4ae3aa726c4690afe",
 }
 
 

@@ -1,4 +1,4 @@
-"""Print fourteen SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print fifteen SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -49,9 +49,12 @@ means the same recombine and decomposition of seeded vectors whose first
 two terms lie on opposite sides of an odd pillar, so that their product
 has content there: 20 vectors with coefficients up to 60 at m = 974, 6
 up to 20 at m = 10000019 (pillar 3, of order 1275) and 3 up to 30 at
-every 20th square-free m < 3000 that has an odd pillar.  It takes about
-ten seconds.  tests/test_same_output.py loads this file by path and pins
-digests 2, 3, 4, 6, 7, 8, 11, 12 and 14, which take about two seconds
+every 20th square-free m < 3000 that has an odd pillar.  The same
+fifteenth digest means the same beta(p), with its category, pillar index
+and exponents, for every split p <= 60 at m = 10000019 (pillar 3, of order
+1275) and 10^8 + 7 (pillar 2, of order 7253).  It takes about ten
+seconds.  tests/test_same_output.py loads this file by path and pins
+digests 2, 3, 4, 6, 7, 8, 11, 12, 14 and 15, which take about two seconds
 together.
 """
 
@@ -377,6 +380,14 @@ def odd_pillar_records():
             yield m, q, sorted(vec.items()), doc
 
 
+def large_beta_records():
+    for m in (10000019, 10**8 + 7):
+        for el in BasisTable(Modulus(m)).elements(60):
+            t = el.triple
+            # hex: linear time, where decimal conversion is quadratic in the digits
+            yield m, el.p, hex(t.a), hex(t.b), hex(t.c), el.category, el.pillar_index, el.exps
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -385,7 +396,7 @@ def digest(recs):
     return sha.hexdigest()
 
 
-# the record streams of the fourteen digests, in order
+# the record streams of the fifteen digests, in order
 DIGESTS = (
     records,
     large_records,
@@ -401,6 +412,7 @@ DIGESTS = (
     special_records,
     two_torsion_prime_records,
     odd_pillar_records,
+    large_beta_records,
 )
 
 
