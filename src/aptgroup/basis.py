@@ -241,7 +241,11 @@ class BasisTable:
     under a lock and only by a longer tuple, never appended to.  So
     concurrent readers are safe: two threads may both build the same entry,
     and a lift may be replaced by a shorter one, which is still exact to
-    its own precision, but no thread sees a partial one.
+    its own precision, but no thread sees a partial one.  decompose reads
+    the pillar primes and the keys of the ladder memo as primes already
+    proved, to split c without rho; it snapshots those keys by one C-level
+    call, tuple(dict), so a thread adding ladders meanwhile cannot change
+    the dict's size under its iteration.
     """
 
     def __init__(

@@ -1,9 +1,11 @@
 """Exact decomposition of triples over the beta basis.
 
 Any primitive triple is an integer combination of basis triples, and its
-coordinates are read off one factorization of its third component c.  At
-a split prime q the triple lies over one of the two prime ideals above
-q, with exponent v_q(c) (v_2(c) - 1 at a split 2, where the element of
+coordinates are read off one factorization of its third component c.
+The primes of a c that recombine built are all primes its table has
+proved, its terms', its pillars' and 2, so on that table c splits without
+rho.  At a split prime q the triple lies over one of the two prime ideals
+above q, with exponent v_q(c) (v_2(c) - 1 at a split 2, where the element of
 the maximal order is (a + b*sqrt(-m)) / 2), and the signed exponent,
 positive on the side of beta(q), is additive in the group.
 beta(q) has signed exponent 1 at q, a pillar's beta its order h, and no
@@ -21,7 +23,7 @@ coefficient at 2 is reported separately, as that element's.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 
 from .basis import BasisTable
 from .primes import _divide_out, factorize
@@ -117,22 +119,27 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     """Express t as an integer combination of basis triples, exactly.
 
     Factors t.c once and reads each coefficient off it, as the module
-    docstring sets out.  Basis elements are computed on demand, a pillar's
-    only when its coefficient is not 0, and factorize's primes are not
-    proved prime again, nor tested for splitting when their beta is
-    already built.  The returned decomposition has been verified: the one
-    product of the basis powers it names, unreduced, is compared with t by
-    cross-multiplication, which is exact because the norm fixes c.  Only
-    a failure reduces it, for the error text.
+    docstring sets out.  factorize is given primes the table has proved
+    (_proven_primes): its pillars' and those whose beta it has powered,
+    the keys of its ladder memo, snapshotted by one call.  It reads them
+    only for a part that trial division and roots leave composite, and
+    splits that part by them before any rho step, so a triple that
+    recombine built on this table needs no rho, whatever RHO_BUDGET is;
+    a triple from elsewhere may still need it.  Basis elements are computed on demand, a pillar's only when its coefficient
+    is not 0, and factorize's primes are not proved prime again, nor
+    tested for splitting when their beta is already built.  The returned
+    decomposition has been verified: the one product of the basis powers
+    it names, unreduced, is compared with t by cross-multiplication, which
+    is exact because the norm fixes c.  Only a failure reduces it, for the
+    error text.
     """
     mod = basis.mod
     if t.m != mod.m:
         raise ValueError("triple does not belong to this basis")
-    fac = factorize(t.c)
+    fac = factorize(t.c, known=_proven_primes(basis))
     vals: dict[int, int] = {}  # split prime q -> exponent of the ideal over q that t lies on
     coeffs: dict[int, int] = {}
     composites = []  # (coefficient, basis element) of each composite term
-    pillar_primes = {pl.p for pl in basis.pillars}
     for q, e in fac.items():
         # only split primes enter the table's memo of betas
         if q not in basis._beta and _legendre(mod, q) != 1:
@@ -142,7 +149,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
                 continue
             raise DecompositionError(f"prime {q} divides the third component but is outside L")
         vals[q] = e - (q == 2)
-        if q in pillar_primes:
+        if q in basis._pillar_of:
             continue
         el = basis._proven_beta(q)
         coeffs[q] = s = _signed(t, el.triple, q, vals[q])
@@ -170,6 +177,21 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     special_coeff = coeffs.pop(2, 0) if basis.special() is not None else 0
     terms = tuple(sorted((p, s) for p, s in coeffs.items() if s))
     return Decomposition(mod.m, t, terms, special_coeff, verified=True)
+
+
+def _proven_primes(basis: BasisTable) -> Iterator[int]:
+    """Primes basis has proved: its pillars' and those whose beta it has powered.
+
+    Every prime of a triple that recombine built on basis is among them, or
+    is 2, as _product keeps a ladder for each of its terms.  The ladders,
+    not the whole beta memo, bound the scan: after elements(10^6) the memo
+    holds 39,257 primes, which factorize would try one by one.  A
+    generator, so the table is read only when factorize needs it; the
+    ladder keys are then snapshotted by one C-level call, which a thread
+    powering betas meanwhile cannot interleave with.
+    """
+    yield from basis._pillar_of
+    yield from tuple(basis._ladders)
 
 
 def _product(basis: BasisTable, terms: Mapping[int, int]) -> tuple[int, int, int]:

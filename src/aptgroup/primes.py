@@ -4,13 +4,15 @@ Everything here is deterministic.  Below 3.3 * 10^24 primality is proven:
 Miller-Rabin to the 13 prime bases up to 41 has no false positive there.
 Above, it is the Baillie-PSW test, which has no known false positive.
 Factoring has a budget: a cofactor that Pollard-Brent rho does not split
-within RHO_BUDGET steps raises FactoringBudgetError.
+within RHO_BUDGET steps raises FactoringBudgetError.  A caller may pass
+primes it has already proved, which split a cofactor before rho runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections.abc import Iterable
 from math import gcd, isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -139,7 +141,7 @@ _TRIAL_PRIMES = tuple(primes_up_to(1000))
 _SMALL_PRIMES = frozenset(_TRIAL_PRIMES)
 
 
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int, *, known: Iterable[int] = ()) -> dict[int, int]:
     """Prime factorization of n >= 1.
 
     Trial division removes the primes below 1000; once a trial prime passes
@@ -147,6 +149,13 @@ def factorize(n: int) -> dict[int, int]:
     Otherwise each part left is replaced by its root when it is a perfect
     power, and else split by Pollard-Brent rho until every part is prime; a
     split that takes over RHO_BUDGET steps raises FactoringBudgetError.
+
+    known holds primes the caller has already proved, such as those of a
+    basis table.  It is read, once, only when a composite part with no
+    perfect root is left, and that part is split by the first of them
+    that divides it before any rho step is taken.  Every part is still
+    proved by is_prime before it is reported, so known speeds splitting
+    up but proves nothing.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -163,6 +172,7 @@ def factorize(n: int) -> dict[int, int]:
         if n % p == 0:
             n, out[p] = _divide_out(n, p)
     stack = [(n, 1)] if n > 1 else []  # (part, its exponent in the input)
+    hint = None  # the primes of known above 1000, once a part needs them
     while stack:
         n, e = stack.pop()
         # a root costs a few percent of a primality test, and spares one on a power
@@ -171,7 +181,10 @@ def factorize(n: int) -> dict[int, int]:
         elif is_prime(n):
             out[n] = out.get(n, 0) + e
         else:
-            f = _rho_factor(n)
+            if hint is None:
+                # no trial prime divides a part, and no part is split by itself
+                hint = [q for q in known if q > 1000]
+            f = next((q for q in hint if n % q == 0 and q != n), 0) or _rho_factor(n)
             stack += [(f, e), (n // f, e)]
     return dict(sorted(out.items()))
 

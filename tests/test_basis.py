@@ -713,10 +713,11 @@ def check_beta_shape(bt, el, t):
 
 
 class TestLargeClassNumberBetas:
-    """Every beta p <= 60 at m = 10000019 (h = 1275) and 10^8 + 7 (h = 7253), by check_beta_shape.
+    """Every beta p <= 60 at m = 10000019 (h = 1275), 10^8 + 7 (h = 7253) and 10^9 + 7 (h = 26629), by check_beta_shape.
 
     The oracle's side convention is first checked on the published betas.
-    About 0.2 s, nearly all of it the two class groups.
+    About 0.2 s for the first two, nearly all of it their class groups; about
+    0.9 s for 10^9 + 7, a third each the class group, the betas and the oracle.
     """
 
     @pytest.mark.parametrize(
@@ -728,7 +729,9 @@ class TestLargeClassNumberBetas:
         checked = [f for p, abc in values.items() for f in check_beta_shape(bt, bt.beta(p), Triple(m, *abc))]
         assert set(checked) == flags
 
-    @pytest.mark.parametrize("m,pillar,composites", [(10000019, (3, 1275), 8), (10**8 + 7, (2, 7253), 6)])
+    @pytest.mark.parametrize(
+        "m,pillar,composites", [(10000019, (3, 1275), 8), (10**8 + 7, (2, 7253), 6), (10**9 + 7, (2, 26629), 7)]
+    )
     def test_betas(self, m, pillar, composites):
         bt = BasisTable(Modulus(m))
         assert [(pl.p, pl.order) for pl in bt.pillars] == [pillar]

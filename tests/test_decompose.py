@@ -2,6 +2,9 @@ import importlib
 import itertools
 import random
 import re
+import sys
+import threading
+import time
 from collections import Counter
 from math import isqrt
 
@@ -9,15 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import brute_triples, descent, double_and_add, ideal_valuation, termwise_recombine, valuation
 
-from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, recombine
+from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, primes, recombine
 from aptgroup.basis import Category
+from aptgroup.classgroup import ClassGroupTable
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
 from aptgroup.triples import add, identity, scalar_mul
-from aptgroup.primes import factorize, is_prime, is_squarefree
+from aptgroup.primes import FactoringBudgetError, factorize, is_prime, is_squarefree
 from aptgroup.quadfield import kronecker, splitting_type
 
 # the package's `decompose` attribute is the function; the tests patch the module
 decompose_module = importlib.import_module("aptgroup.decompose")
+basis_module = importlib.import_module("aptgroup.basis")
 
 # every square-free m < 400 (7, 15 and 23 among them) and two larger worked moduli
 ORACLE_M = [m for m in range(5, 400) if is_squarefree(m)] + [614, 974]
@@ -311,9 +316,9 @@ class TestDescentOracle:
         calls = []
         real_factorize = decompose_module.factorize
 
-        def spy(n):
+        def spy(n, **kwargs):
             calls.append(n)
-            return real_factorize(n)
+            return real_factorize(n, **kwargs)
 
         monkeypatch.setattr(decompose_module, "factorize", spy)
         d = decompose(bt, t)
@@ -515,6 +520,134 @@ class TestRoundTrips:
         assert factorize(t.c) == sympy.factorint(t.c)
         d = decompose(bt, t)
         assert dict(d.terms) == vec and d.verified
+
+
+# round trips whose c keeps at least two primes above the trial bound 1000: at m = 35
+# (no pillar), over split primes above 10^6, the second the CLI's budget triple; at
+# m = 974 over split primes in (1000, 5000) with composite terms, so that the pillars
+# 5 and 41 divide c as well
+WARM_LARGE = [
+    (35, {1000033: 2, 1000037: -1}),
+    (35, {1000099: -1, 1000033: 1}),
+    (35, {699999999999889: 1, 699999999999863: 1}),
+    (35, {699999999999889: -1, 699999999999863: 2, 3: 5, 17: -3}),
+    (974, {1009: 2, 4013: -1, 3: 5, 11: -2}),
+    (974, {1019: 1, 1063: -3, 1009: 2, 37: 4}),
+    (974, {1061: 3, 2999: -1, 193: 2}),
+]
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """The composites handed to rho, with a budget of one step: any rho split raises."""
+    calls = []
+    real = primes._rho_factor
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(primes, "RHO_BUDGET", 1)
+    monkeypatch.setattr(primes, "_rho_factor", spy)
+    return calls
+
+
+class TestProvenPrimes:
+    """decompose on the table that built a triple splits c over the table's primes, with no rho step."""
+
+    @pytest.mark.parametrize("m,vec", WARM_LARGE)
+    def test_warm_round_trip_needs_no_rho(self, rho_calls, m, vec):
+        bt = BasisTable(Modulus(m))
+        t = recombine(bt, vec)
+        assert sum(p > 1000 and t.c % p == 0 for p in vec) >= 2
+        if m == 974:
+            assert t.c % 5 == 0 and t.c % 41 == 0
+        d = decompose(bt, t)
+        assert d.coefficients() == vec and d.verified
+        assert rho_calls == []
+        # a fresh table has proved none of them, and still runs rho
+        with pytest.raises(FactoringBudgetError):
+            decompose(BasisTable(Modulus(m)), t)
+        assert rho_calls
+
+    def test_ladder_keys_read_only_for_a_composite_part(self, rho_calls):
+        # a c that trial division splits, or that leaves one large prime, reads no memo;
+        # a composite part reads the keys of the ladders once, never the larger beta memo
+        class Reads(dict):
+            def __iter__(self):
+                reads.append((self is bt._beta, len(self)))
+                return super().__iter__()
+
+        reads = []
+        bt = BasisTable(Modulus(974))
+        vecs = ({3: 100, 11: -97, 37: 64}, {4013: 3, 3: 1}, {1009: 1, 4013: 1})
+        small, one_large, two_large = (recombine(bt, vec) for vec in vecs)
+        bt.elements(3000)
+        bt._beta, bt._ladders = Reads(bt._beta), Reads(bt._ladders)
+        decompose(bt, small)
+        decompose(bt, one_large)
+        assert reads == []
+        decompose(bt, two_large)
+        assert reads == [(False, 5)] and len(bt._beta) > 200 and rho_calls == []
+
+
+class TestConcurrentMemo:
+    """One thread grows the table's memos while another decomposes over them.
+
+    The proven primes are a snapshot of the ladder keys, taken by one C-level
+    call, so the reader never iterates a dict that changes size.  About 0.3 s.
+    """
+
+    VECTORS = [vec for m, vec in WARM_LARGE if m == 35]
+
+    def test_results_match_one_thread(self, rho_calls, monkeypatch):
+        mod = Modulus(35)
+        group = ClassGroupTable(mod)
+        alone = BasisTable(mod, table=group)
+        trips = [recombine(alone, vec) for vec in self.VECTORS]
+        want = [decompose(alone, t) for t in trips]
+        real = basis_module._generator_triple
+
+        def paused(*args):
+            time.sleep(0)  # a thread switch before every beta built, so between ladders kept
+            return real(*args)
+
+        monkeypatch.setattr(basis_module, "_generator_triple", paused)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                bt = BasisTable(mod, table=group)
+                for vec in self.VECTORS:
+                    recombine(bt, vec)  # the large betas, before the memo grows
+                done, errors, got = threading.Event(), [], []
+
+                def grow():
+                    try:
+                        for p in bt.split_primes(3000):
+                            recombine(bt, {p: 1})  # beta(p) and then its ladder
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+                    done.set()
+
+                def read():
+                    try:
+                        while not done.is_set():
+                            got.append([decompose(bt, t) for t in trips])
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=grow), threading.Thread(target=read)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=10)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == [] and got and all(g == want for g in got)
+                assert len(bt._ladders) >= 200
+        finally:
+            sys.setswitchinterval(interval)
+        assert rho_calls == []
 
 
 class TestLargeClassNumber:

@@ -117,6 +117,29 @@ class TestFactorize:
         assert factorize(n) == {10**9 + 7: 1, 10**9 + 9: 1}
 
 
+    def test_known_primes_split_before_rho(self, monkeypatch):
+        p, q, r = 10**9 + 7, 10**9 + 9, 10**9 + 21
+        n = 3 * p**2 * q * r
+        want = {3: 1, p: 2, q: 1, r: 1}
+        monkeypatch.setattr(primes, "RHO_BUDGET", 1)
+        assert factorize(n, known=iter([5, 997, r, q])) == want
+        assert factorize(n, known=[q, r, p]) == want
+        # a prime, a power or a product of two large primes needs no hint, and reads none
+        assert factorize(p * 997, known=iter("not read")) == {997: 1, p: 1}
+        assert factorize(p**3, known=iter("not read")) == {p: 3}
+        with pytest.raises(FactoringBudgetError):
+            factorize(n, known=[p])
+
+    def test_known_primes_prove_nothing(self, monkeypatch):
+        # composites, 1, the trial primes and the part itself in known: every
+        # part is still proved prime, and rho finishes what they leave
+        p, q, r = 10**9 + 7, 10**9 + 9, 10**9 + 21
+        n = p * q * r
+        monkeypatch.setattr(primes, "RHO_BUDGET", 10**6)
+        for known in ([1, 3, n], [p * q], [n, q * r, p * q * 7], [-p, 0, 1001]):
+            assert factorize(7 * n, known=known) == {7: 1, p: 1, q: 1, r: 1}, known
+
+
 class TestIsPrime:
     # n < 1000 is a set lookup: 997 is the last prime below the cut, 1009 the first above
     def test_matches_trial_division_across_the_lookup(self):

@@ -4,7 +4,9 @@ The values are those recorded in CHANGES.md.  A change that alters one of
 these outputs on purpose updates its digest here and lists it there.
 Digest 14, about 0.8 s, hashes recombine and decompose where content lies
 at an odd pillar; digest 15, about 0.15 s, the betas p <= 60 at
-m = 10000019 and 10^8 + 7, whose class numbers are 1275 and 7253.
+m = 10000019 and 10^8 + 7, whose class numbers are 1275 and 7253;
+digest 16, about 0.05 s, warm round trips whose c keeps two primes above
+the trial-division bound.
 Digests 1, 5, 9, 10 and 13 take seconds each and stay in the tool.
 """
 
@@ -26,6 +28,7 @@ PINNED = {
     12: "292bfefeac6049eb1a057d59f796ae7d3cf78a47afd91fda8aa2686f7bb73f43",
     14: "ccaa3cb862b69d12a817ecaf100e98a799cb3c4e577ed25bdfefea0a4576cfe7",
     15: "5527de7c5744f416def832a33a08645bef37d628da0305b4ae3aa726c4690afe",
+    16: "04fbf2ba4e647babd21ad89a1b3eb5dbbe8c5a353f9434215d34e4da75d9ce9a",
 }
 
 

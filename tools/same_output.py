@@ -1,4 +1,4 @@
-"""Print fifteen SHA-256 digests over the class groups, quotients and betas of many moduli.
+"""Print sixteen SHA-256 digests over the class groups, quotients and betas of many moduli.
 
 Run as `python tools/same_output.py` from any directory; it imports the
 package from this checkout's src/.  Two checkouts that print the same
@@ -52,10 +52,15 @@ up to 20 at m = 10000019 (pillar 3, of order 1275) and 3 up to 30 at
 every 20th square-free m < 3000 that has an odd pillar.  The same
 fifteenth digest means the same beta(p), with its category, pillar index
 and exponents, for every split p <= 60 at m = 10000019 (pillar 3, of order
-1275) and 10^8 + 7 (pillar 2, of order 7253).  It takes about ten
-seconds.  tests/test_same_output.py loads this file by path and pins
-digests 2, 3, 4, 6, 7, 8, 11, 12, 14 and 15, which take about two seconds
-together.
+1275) and 10^8 + 7 (pillar 2, of order 7253).  The same sixteenth digest
+means the same decomposition of 20 seeded vectors per modulus, each
+decomposed on the table that built it, over two split primes whose
+coefficients are up to 3 and up to two split primes <= 200 with
+coefficients up to 20: at m = 35 the two lie just above 10^6, at m = 974
+in (1000, 5000), so c keeps a composite part that trial division leaves.
+It takes about ten seconds.  tests/test_same_output.py loads this file by
+path and pins digests 2, 3, 4, 6, 7, 8, 11, 12, 14, 15 and 16, which take
+about two seconds together.
 """
 
 import contextlib
@@ -73,8 +78,8 @@ from aptgroup.basis import BasisTable, two_torsion_triple  # noqa: E402
 from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
 from aptgroup.cli import main as cli_main  # noqa: E402
 from aptgroup.decompose import decompose, ideal_valuations, recombine  # noqa: E402
-from aptgroup.primes import is_squarefree  # noqa: E402
-from aptgroup.quadfield import Modulus, splitting_type  # noqa: E402
+from aptgroup.primes import is_prime, is_squarefree  # noqa: E402
+from aptgroup.quadfield import Modulus, kronecker, splitting_type  # noqa: E402
 from aptgroup.triples import scalar_mul  # noqa: E402
 
 OVERRIDES = [
@@ -388,6 +393,20 @@ def large_beta_records():
             yield m, el.p, hex(t.a), hex(t.b), hex(t.c), el.category, el.pillar_index, el.exps
 
 
+def warm_large_records():
+    for m, lo, hi in ((35, 10**6, 10**6 + 2000), (974, 1000, 5000)):
+        bt = BasisTable(Modulus(m))
+        large = [p for p in range(lo + 1, hi, 2) if is_prime(p) and kronecker(bt.mod, p) == 1]
+        small = bt.split_primes(200)
+        rng = random.Random(m)
+        for _ in range(20):
+            # two large primes, so that c keeps a composite part past trial division
+            vec = {p: rng.choice((-1, 1)) * rng.randint(1, 3) for p in rng.sample(large, 2)}
+            vec.update((p, rng.randint(-20, 20)) for p in rng.sample(small, rng.randint(0, 2)))
+            t = recombine(bt, vec)
+            yield m, sorted(vec.items()), decompose(bt, t).to_json_dict()
+
+
 def digest(recs):
     sha = hashlib.sha256()
     for rec in recs:
@@ -396,7 +415,7 @@ def digest(recs):
     return sha.hexdigest()
 
 
-# the record streams of the fifteen digests, in order
+# the record streams of the sixteen digests, in order
 DIGESTS = (
     records,
     large_records,
@@ -413,6 +432,7 @@ DIGESTS = (
     two_torsion_prime_records,
     odd_pillar_records,
     large_beta_records,
+    warm_large_records,
 )
 
 
