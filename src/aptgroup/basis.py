@@ -16,7 +16,7 @@ triple, built from a prime-ideal product whose class is 2-torsion:
     pillar order) the one with the smallest first component wins.
 
 Each triple comes from the generator of a squared ideal, found by
-Cornacchia's algorithm (two_torsion_triple), which reads only the first
+Cornacchia's algorithm (_generator_triple), which reads only the first
 two coefficients (N, B) of the squared ideal's form: each prime-power
 factor is carried as the pair (p^k, b) of classgroup.prime_form, and
 factors of coprime norms glue by CRT on b (_glue).  A table reads all it
@@ -36,7 +36,9 @@ factorize, proved already, prove none.  elements classifies each sieved
 prime by that record alone: whether -m has a square root mod p tells
 whether p splits.  two_torsion_primes classifies no prime one at a time:
 the primes whose class is 2-torsion are the prime values of the ambiguous
-forms, which it enumerates.
+forms, which it enumerates.  The beta map is the package's only route from
+ideal factors to a triple.  A table also multiplies its betas (_product),
+reading each power off a ladder of squares it keeps.
 The image of beta generates the triple group freely.  For m in {7, 15}
 beta(2) is the distinguished [q, r, 4] element, which BasisTable.special
 reads off the memo; no other modulus has one.
@@ -47,14 +49,13 @@ from __future__ import annotations
 import enum
 import threading
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from math import gcd, isqrt
 
 from .classgroup import ClassGroupTable, FormClass, Pillar, QuotientData, prime_form, quotient_setup, reduce_form
 from .primes import primes_up_to
-from .quadfield import Modulus, PrimeSplitInfo, SplitKind, lift_root, splitting_type
-from .quadfield import _legendre, _split_info
-from .triples import Element, Ladder, Triple, normalize, power
+from .quadfield import Modulus, PrimeSplitInfo, SplitKind, _legendre, _split_info, lift_root, splitting_type
+from .triples import Element, Ladder, Triple, mul, normalize, power
 
 __all__ = [
     "MAX_BOUND",
@@ -66,7 +67,6 @@ __all__ = [
     "BasisTable",
     "split_primes",
     "solve_norm_equation",
-    "two_torsion_triple",
 ]
 
 
@@ -155,37 +155,6 @@ def solve_norm_equation(mod: Modulus, n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-IdealFactor = tuple[PrimeSplitInfo, int, bool]
-
-
-def two_torsion_triple(mod: Modulus, factors: Iterable[IdealFactor]) -> Triple:
-    """The primitive triple attached to an ideal product with 2-torsion class.
-
-    factors lists (split info, exponent, conjugate) triples of distinct
-    split primes with exponent at least 1; the product I of norm n must
-    have class of order at most 2, so that I^2 is principal with a
-    generator z of norm n^2.  The factors (p^2e, b) of prime_form(p, 2e),
-    b negated for a conjugate factor, glue (_glue) to the first two
-    coefficients (N, B) of the form of the conjugate of I^2, N = n^2; so
-    I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)> with r = B / 2^delta a square
-    root of -m modulo 4N / 2^(2 delta).  Cornacchia's algorithm on (N, r),
-    or on (2N, r) for 4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and
-    1.5.3), finds z or shows that I^2 is not principal.  Conjugating every factor
-    gives the same triple.  The empty product gives the identity.
-    """
-    factors = list(factors)
-    if len({info.p for info, e, _ in factors if info.kind is SplitKind.SPLIT and e >= 1}) != len(factors):
-        raise ValueError("factors must be distinct split primes with exponents at least 1")
-    if not factors:
-        return Triple(mod.m, 1, 0, 1)
-    n, factor = 1, (1, mod.disc % 2)
-    for info, e, conj in factors:
-        n *= info.p**e
-        a, b, _ = prime_form(mod, info, 2 * e)
-        factor = _glue(factor, (a, -b if conj else b))
-    return _generator_triple(mod, factor, n)
-
-
 def _glue(f: Factor, g: Factor) -> Factor:
     """The factor of the product of two ideals of coprime norms; (1, disc mod 2) is the unit.
 
@@ -202,10 +171,14 @@ def _glue(f: Factor, g: Factor) -> Factor:
 
 
 def _generator_triple(mod: Modulus, factor: Factor, n: int) -> Triple:
-    """The triple of the generator of I^2, given the first coefficients (n^2, B) of the form of its conjugate.
+    """The triple of the generator of I^2, for an ideal product I of norm n whose class is 2-torsion.
 
-    Cornacchia's algorithm, as two_torsion_triple states it; raises
-    NotTwoTorsionError when I^2 has no generator.
+    factor holds the first two coefficients (N, B), N = n^2, of the form of
+    the conjugate of I^2, glued (_glue) from factors (p^2e, +-b) of
+    prime_form(p, 2e); so I^2 = <N, (r + sqrt(-m)) / 2^(1-delta)> with
+    r = B / 2^delta.  Cornacchia's algorithm on (N, r), or on (2N, r) for
+    4N when delta = 0 (Cohen, GTM 138, Alg. 1.5.2 and 1.5.3), finds the
+    generator, or raises NotTwoTorsionError when I^2 is not principal.
     """
     modulus = factor[0] << (1 - mod.delta)
     r = (factor[1] >> mod.delta) % modulus
@@ -232,20 +205,21 @@ class BasisTable:
     in lazily and kept as long as the table: each beta(p); one Hensel lift
     (precision, root) of -m per pillar (_pillar_factor), at most 2h (2h + 1
     at a split 2) digits of p; the composite cofactors, at most one per
-    class of Cl^2; and for each p that a product has powered (_power) the
-    ladder beta(p), beta(p)^2, beta(p)^4, ... of triples.power, as far as
-    the largest |n| asked for needs.  A ladder's entries add up to about
-    twice the largest power built from it, in digits.  Every memo entry is
-    a complete, immutable value stored by one assignment; a lift is
-    replaced whole, by one at least twice as precise, and a ladder whole,
-    under a lock and only by a longer tuple, never appended to.  So
-    concurrent readers are safe: two threads may both build the same entry,
-    and a lift may be replaced by a shorter one, which is still exact to
-    its own precision, but no thread sees a partial one.  decompose reads
-    the pillar primes and the keys of the ladder memo as primes already
-    proved, to split c without rho; it snapshots those keys by one C-level
-    call, tuple(dict), so a thread adding ladders meanwhile cannot change
-    the dict's size under its iteration.
+    class of Cl^2; and the ladders below.  Every memo entry is a complete,
+    immutable value stored by one assignment, and a lift is replaced whole,
+    by one at least twice as precise.  So concurrent readers are safe: two
+    threads may both build the same entry, and a lift may be replaced by a
+    shorter one, still exact to its own precision, but no thread sees a
+    partial one.
+
+    For each p that _product has powered, the ladder beta(p), beta(p)^2,
+    beta(p)^4, ... of triples.power, as far as the largest |n| asked for
+    needs, about twice that power in digits.  Ladders are read and written
+    only here, and replaced whole, under the table's lock and only by a
+    longer tuple, so of two threads extending one at once the longer stays.
+    Their keys are primes the table has proved; _proven_primes snapshots
+    them by one C-level call, tuple(dict), so a thread adding ladders
+    meanwhile cannot change the dict's size under its iteration.
     """
 
     def __init__(
@@ -327,25 +301,43 @@ class BasisTable:
         """beta(p) for a p already proved prime, which is not proved again."""
         return self._beta.get(p) or self._compute_beta(_split_info(self.mod, p))
 
-    def _power(self, p: int, n: int) -> Element:
-        """beta(p)^n as a bare element of Z[sqrt(-m)], read off the ladder of beta(p) the table keeps.
+    def _product(self, terms: Mapping[int, int]) -> Element:
+        """prod(beta(p)^s) in Z[sqrt(-m)], as a bare element.
 
-        The first power of p starts the ladder from beta(p), which raises
-        ValueError unless p is a split prime.  A ladder that power extends
-        replaces the kept one whole, under a lock, and only when it is
-        longer, so that of two threads extending it at once the longer
-        ladder stays.
+        Each power is read off the ladder of beta(p) that the table keeps,
+        so a beta powered before costs no squaring, only popcount(|s|) - 1
+        calls of mul, and one more per term after the first.  A first power
+        of p builds beta(p), which raises ValueError unless p is a split
+        prime; s = 0 builds none.  The content of the product is odd and lies
+        only at the pillars where terms on opposite sides cancel.
         """
-        ladder = kept = self._ladders.get(p)
-        if ladder is None:
-            _, a, b, c = self.beta(p).triple
-            ladder = ((a, b, c),)
-        x, ladder = power(self.mod.m, ladder, n)
-        if ladder is not kept:
-            with self._ladder_lock:
-                if len(ladder) > len(self._ladders.get(p, ())):
-                    self._ladders[p] = ladder
-        return x
+        m = self.mod.m
+        acc = None
+        for p, s in sorted(terms.items()):
+            if not s:
+                continue
+            ladder = kept = self._ladders.get(p)
+            if ladder is None:
+                _, a, b, c = self.beta(p).triple
+                ladder = ((a, b, c),)
+            x, ladder = power(m, ladder, s)
+            if ladder is not kept:
+                with self._ladder_lock:
+                    if len(ladder) > len(self._ladders.get(p, ())):
+                        self._ladders[p] = ladder
+            acc = x if acc is None else mul(m, acc, x)
+        return acc or (1, 0, 1)
+
+    def _proven_primes(self) -> Iterator[int]:
+        """Primes the table has proved: its pillars' and the keys of its ladders, for factorize.
+
+        Every prime of a triple that recombine built on the table is among
+        them, or is 2.  The ladders, not the beta memo (39,257 primes after
+        elements(10^6)), bound the scan.  A generator, so the keys are
+        snapshotted only when factorize needs them.
+        """
+        yield from self._pillar_of
+        yield from tuple(self._ladders)
 
     def _squared(self, info: PrimeSplitInfo) -> tuple[Factor, FormClass]:
         """The factor of prime_form(p, 2), the conjugate of the square of the chosen ideal over p, and its class.

@@ -18,17 +18,19 @@ basis powers it names must be proportional to a + b*sqrt(-m), which is
 checked by one exact cross-multiplication.  For m in {7, 15} beta(2) is
 the distinguished [q, r, 4] element (BasisTable.special), so the
 coefficient at 2 is reported separately, as that element's.
+Products of basis powers and the proved primes are the table's
+(BasisTable._product and _proven_primes); this module keeps coordinates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
 from .basis import BasisTable
 from .primes import _divide_out, factorize
 from .quadfield import Modulus, SplitKind, _legendre, _split_info
-from .triples import Triple, mul, normalize
+from .triples import Triple, normalize
 
 __all__ = [
     "DecompositionError",
@@ -119,24 +121,23 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     """Express t as an integer combination of basis triples, exactly.
 
     Factors t.c once and reads each coefficient off it, as the module
-    docstring sets out.  factorize is given primes the table has proved
-    (_proven_primes): its pillars' and those whose beta it has powered,
-    the keys of its ladder memo, snapshotted by one call.  It reads them
-    only for a part that trial division and roots leave composite, and
-    splits that part by them before any rho step, so a triple that
-    recombine built on this table needs no rho, whatever RHO_BUDGET is;
-    a triple from elsewhere may still need it.  Basis elements are computed on demand, a pillar's only when its coefficient
-    is not 0, and factorize's primes are not proved prime again, nor
-    tested for splitting when their beta is already built.  The returned
-    decomposition has been verified: the one product of the basis powers
-    it names, unreduced, is compared with t by cross-multiplication, which
-    is exact because the norm fixes c.  Only a failure reduces it, for the
-    error text.
+    docstring sets out.  factorize is given the primes the table has
+    proved (BasisTable._proven_primes).  It reads them only for a part
+    that trial division and roots leave composite, and splits that part by
+    them before any rho step, so a triple that recombine built on this
+    table needs no rho, whatever RHO_BUDGET is; a triple from elsewhere may
+    still need it.  Basis elements are computed on demand, a pillar's only
+    when its coefficient is not 0, and factorize's primes are not proved
+    prime again, nor tested for splitting when their beta is already
+    built.  The returned decomposition has been verified: the one product
+    of the basis powers it names (BasisTable._product), unreduced, is
+    compared with t by cross-multiplication, which is exact because the
+    norm fixes c.  Only a failure reduces it, for the error text.
     """
     mod = basis.mod
     if t.m != mod.m:
         raise ValueError("triple does not belong to this basis")
-    fac = factorize(t.c, known=_proven_primes(basis))
+    fac = factorize(t.c, known=basis._proven_primes())
     vals: dict[int, int] = {}  # split prime q -> exponent of the ideal over q that t lies on
     coeffs: dict[int, int] = {}
     composites = []  # (coefficient, basis element) of each composite term
@@ -170,7 +171,7 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
         # beta(p) has exponent h on its own side; recombination checks the quotient
         coeffs[pl.p] = _signed(basis._proven_beta(pl.p).triple, ref, pl.p, rest) // pl.order
 
-    a, b, c = _product(basis, coeffs)
+    a, b, c = basis._product(coeffs)
     # t and the product are the same class exactly when (a, b) is proportional to (t.a, t.b)
     if a * t.b != b * t.a:
         raise DecompositionError(f"recombination produced {normalize(mod.m, a, b, c)}, expected {t}")
@@ -179,47 +180,13 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     return Decomposition(mod.m, t, terms, special_coeff, verified=True)
 
 
-def _proven_primes(basis: BasisTable) -> Iterator[int]:
-    """Primes basis has proved: its pillars' and those whose beta it has powered.
-
-    Every prime of a triple that recombine built on basis is among them, or
-    is 2, as _product keeps a ladder for each of its terms.  The ladders,
-    not the whole beta memo, bound the scan: after elements(10^6) the memo
-    holds 39,257 primes, which factorize would try one by one.  A
-    generator, so the table is read only when factorize needs it; the
-    ladder keys are then snapshotted by one C-level call, which a thread
-    powering betas meanwhile cannot interleave with.
-    """
-    yield from basis._pillar_of
-    yield from tuple(basis._ladders)
-
-
-def _product(basis: BasisTable, terms: Mapping[int, int]) -> tuple[int, int, int]:
-    """prod(beta(p)^s) in Z[sqrt(-m)], as a bare element.
-
-    Each power is read off the ladder of beta(p) that the table keeps
-    (BasisTable._power), so a beta powered before costs no squaring, only
-    popcount(|s|) - 1 calls of mul, and one more per term after the first.
-    No beta is built for s = 0.  The content of the product is odd and lies
-    only at the pillars where terms on opposite sides cancel; mul has taken
-    out every factor 2.
-    """
-    m = basis.mod.m
-    acc = None
-    for p, s in sorted(terms.items()):
-        if s:
-            x = basis._power(p, s)
-            acc = x if acc is None else mul(m, acc, x)
-    return acc or (1, 0, 1)
-
-
 def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 0) -> Triple:
     """Evaluate sum(s * beta(p)) + special_coeff * [q, r, 4] in the group.
 
     [q, r, 4] exists for m in {7, 15} only, and is beta(2) there, so
     special_coeff adds to the coefficient of 2; elsewhere a nonzero one
-    raises ValueError.  The sum is one product of powers in Z[sqrt(-m)].
-    Its content is divided out at the odd pillars only, where alone it can
+    raises ValueError.  The sum is one product of powers in Z[sqrt(-m)]
+    (BasisTable._product).  Its content is divided out at the odd pillars only, where alone it can
     lie, without a gcd; Triple(...) still checks the equation and
     primitivity of the result.
     """
@@ -227,7 +194,7 @@ def recombine(basis: BasisTable, terms: Mapping[int, int], special_coeff: int = 
         if basis.special() is None:
             raise ValueError("no [q, r, 4] element exists for this modulus")
         terms = {**terms, 2: terms.get(2, 0) + special_coeff}
-    a, b, c = _product(basis, terms)
+    a, b, c = basis._product(terms)
     for pl in basis.pillars:
         q = pl.p
         if q == 2 or a % q or c % q:

@@ -200,14 +200,15 @@ def lift_root(mod: Modulus, p: int, root: int, k: int) -> int:
     computes a modular inverse.
     """
     if p == 2:
+        # reduced by masks: CPython takes a power-of-two % by long division
         b, u, j = 1, 1, 3  # u = b^-1 mod 2^(j-2)
         while j <= k:
             j = 2 * j - 2
-            b = (b - (b * b + mod.m) // 2 * u) % (1 << j)
+            b = (b - (b * b + mod.m) // 2 * u) & ((1 << j) - 1)
             if j <= k:
-                u = u * (2 - b * u) % (1 << (j - 2))
-        assert (b * b + mod.m) % (2 << k) == 0
-        return b % (1 << k)
+                u = u * (2 - b * u) & ((1 << (j - 2)) - 1)
+        assert (b * b + mod.m) & ((2 << k) - 1) == 0
+        return b & ((1 << k) - 1)
     r, e = root % p, 1
     u = pow(2 * r, -1, p) if k > 1 else 0  # (2r)^-1 mod p^e
     while e < k:

@@ -5,8 +5,8 @@ from math import gcd, isqrt
 import pytest
 
 from aptgroup import BasisTable, Modulus, Triple
-from aptgroup.basis import BasisElement, Category, ExpEntry, NotTwoTorsionError, two_torsion_triple
-from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms, prime_form, united
+from aptgroup.basis import BasisElement, Category, ExpEntry, NotTwoTorsionError
+from aptgroup.classgroup import ClassGroupTable, FormClass, compose_forms
 from aptgroup.primes import factorize, is_prime
 from aptgroup.quadfield import PrimeSplitInfo, SplitKind, kronecker, lift_root, splitting_type
 from aptgroup.triples import add, identity, normalize
@@ -114,14 +114,17 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 
 def crt_two_torsion_triple(mod: Modulus, factors) -> Triple:
-    """two_torsion_triple with the square root of -m modulo N glued by CRT.
+    """The triple of the generator of I^2, for the product I of (split info, exponent, conjugate) factors.
 
-    An oracle for basis.two_torsion_triple, which glues the middle
-    coefficients of the factors' forms instead.  I^2 = <N, (r + sqrt(-m))
+    The oracle for the triples of BasisTable.beta, which glues the middle
+    coefficients of the factors' forms (basis._glue) and runs its own
+    Cornacchia step; this one shares neither.  I^2 = <N, (r + sqrt(-m))
     / 2^(1-delta)> with N = n^2 and r a square root of -m modulo 4N /
     2^(2 delta), built by CRT from the Newton-lifted roots of the factors;
-    oracle_generator finds the generator or raises NotTwoTorsionError.
-    Raises ValueError on the same inputs.
+    oracle_generator finds the generator or raises NotTwoTorsionError when
+    the class of I is not 2-torsion.  Raises ValueError unless the factors
+    are distinct split primes with exponents at least 1.  The empty
+    product gives the identity.
     """
     factors = list(factors)
     n = 1
@@ -160,29 +163,6 @@ def oracle_generator(mod: Modulus, r: int, n: int) -> Triple:
     return normalize(mod.m, b, y, n << (1 - mod.delta))
 
 
-def united_two_torsion_triple(mod: Modulus, factors) -> Triple:
-    """two_torsion_triple with the factors' forms composed by Gauss composition.
-
-    An oracle for basis.two_torsion_triple: the forms prime_form(p, 2e), b
-    negated for a conjugate factor, compose unreduced by classgroup.united
-    to the form (N, B, C) of the conjugate of I^2, N = n^2, and
-    oracle_generator takes r = B / 2^delta.  Raises ValueError on the same
-    inputs.
-    """
-    factors = list(factors)
-    if len({info.p for info, e, _ in factors if info.kind is SplitKind.SPLIT and e >= 1}) != len(factors):
-        raise ValueError("factors must be distinct split primes with exponents at least 1")
-    if not factors:
-        return Triple(mod.m, 1, 0, 1)
-    n, form = 1, None
-    for info, e, conj in factors:
-        n *= info.p**e
-        a, b, c = prime_form(mod, info, 2 * e)
-        f = (a, -b, c) if conj else (a, b, c)
-        form = f if form is None else united(form, f)
-    return oracle_generator(mod, (form[1] >> mod.delta) % (form[0] << (1 - mod.delta)), n)
-
-
 def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:
     """f^n in the class group (n may be negative), by binary powering."""
     result = table.identity
@@ -198,7 +178,7 @@ def form_power(table: ClassGroupTable, f: FormClass, n: int) -> FormClass:
 
 
 def class_route_beta(basis: BasisTable, p: int) -> BasisElement:
-    """beta(p) through the class of p in Cl: class_of_prime, QuotientData.coords, two_torsion_triple.
+    """beta(p) through the class of p in Cl: class_of_prime, QuotientData.coords, crt_two_torsion_triple.
 
     The oracle for BasisTable.beta, which reads the category and the
     coordinates off the one form prime_form(p, 2) and composes the pillar
@@ -227,7 +207,7 @@ def class_route_beta(basis: BasisTable, p: int) -> BasisElement:
         for e, pl in zip(exps, quotient.pillars)
         if e.a
     ]
-    found = [two_torsion_triple(mod, [own, *pattern]) for pattern in itertools.product(*choices)]
+    found = [crt_two_torsion_triple(mod, [own, *pattern]) for pattern in itertools.product(*choices)]
     triple = min(found, key=lambda t: (t.a, t.c))
     return BasisElement(p, triple, cat, pillar.index if pillar else None, exps)
 

@@ -9,7 +9,6 @@ from conftest import (
     form_power,
     ideal_valuation,
     third_shape,
-    united_two_torsion_triple,
 )
 
 from aptgroup.basis import (
@@ -21,7 +20,6 @@ from aptgroup.basis import (
     NotTwoTorsionError,
     solve_norm_equation,
     split_primes,
-    two_torsion_triple,
 )
 from aptgroup import basis, classgroup, primes, quadfield
 from aptgroup.classgroup import ClassGroupTable, compose_forms, prime_form, reduce_form
@@ -125,48 +123,50 @@ class TestNormEquation:
 
 
 class TestLemmaOneTriple:
+    """The published triples and the rejection cases, on the CRT oracle that TestClassRoute holds beta to."""
+
     def test_L0_prime(self):
         mod = Modulus(23)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 59), 1, False)]) == Triple(23, 13, 12, 59)
+        assert crt_two_torsion_triple(mod, [(splitting_type(mod, 59), 1, False)]) == Triple(23, 13, 12, 59)
 
     def test_ramified_style_double_cover(self):
         mod = Modulus(35)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)]) == Triple(35, 1, 1, 6)
+        assert crt_two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)]) == Triple(35, 1, 1, 6)
 
     def test_split_two(self):
         mod = Modulus(7)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)]) == Triple(7, 3, 1, 4)
+        assert crt_two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)]) == Triple(7, 3, 1, 4)
 
     def test_pillar_power(self):
         mod = Modulus(974)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 5), 6, False)]) == Triple(974, 14651, 174, 15625)
+        assert crt_two_torsion_triple(mod, [(splitting_type(mod, 5), 6, False)]) == Triple(974, 14651, 174, 15625)
 
     def test_conjugate_factor(self):
         # conjugating every factor yields the same positive-entry triple
         mod = Modulus(23)
-        assert two_torsion_triple(mod, [(splitting_type(mod, 59), 1, True)]) == Triple(23, 13, 12, 59)
+        assert crt_two_torsion_triple(mod, [(splitting_type(mod, 59), 1, True)]) == Triple(23, 13, 12, 59)
 
     def test_rejects_non_two_torsion(self):
         mod = Modulus(23)
         with pytest.raises(NotTwoTorsionError):
-            two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)])  # class has order 3
+            crt_two_torsion_triple(mod, [(splitting_type(mod, 3), 1, False)])  # class has order 3
 
     def test_rejects_odd_inert(self):
         mod = Modulus(23)
         with pytest.raises(ValueError):
-            two_torsion_triple(mod, [(splitting_type(mod, 5), 1, False)])
+            crt_two_torsion_triple(mod, [(splitting_type(mod, 5), 1, False)])
 
     def test_rejects_ramified_two(self):
         mod = Modulus(974)
         with pytest.raises(ValueError):
-            two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)])
+            crt_two_torsion_triple(mod, [(splitting_type(mod, 2), 1, False)])
 
     def test_rejects_repeated_prime(self):
         mod = Modulus(23)
         info = splitting_type(mod, 59)
         for conj in (False, True):
             with pytest.raises(ValueError):
-                two_torsion_triple(mod, [(info, 1, False), (info, 1, conj)])
+                crt_two_torsion_triple(mod, [(info, 1, False), (info, 1, conj)])
 
     @pytest.mark.parametrize("m,factors", [
         (35, [(2, 1, False)]),
@@ -178,12 +178,23 @@ class TestLemmaOneTriple:
         # a ValueError, not the NotTwoTorsionError of a product of the right shape
         mod = Modulus(m)
         with pytest.raises(ValueError) as info:
-            two_torsion_triple(mod, [(splitting_type(mod, p), e, conj) for p, e, conj in factors])
+            crt_two_torsion_triple(mod, [(splitting_type(mod, p), e, conj) for p, e, conj in factors])
         assert type(info.value) is ValueError
 
     def test_empty_product_is_identity(self):
         mod = Modulus(23)
-        assert two_torsion_triple(mod, []) == Triple(23, 1, 0, 1)
+        assert crt_two_torsion_triple(mod, []) == Triple(23, 1, 0, 1)
+
+    def test_generator_of_a_square_that_is_not_principal_raises(self):
+        # beta's own check: the class of 3 at m = 23 has order 3, so its square has no generator
+        mod = Modulus(23)
+        table = ClassGroupTable(mod)
+        assert table.order_of(table.class_of_prime(3)) == 3
+        a, b, _ = prime_form(mod, splitting_type(mod, 3), 2)
+        with pytest.raises(NotTwoTorsionError):
+            basis._generator_triple(mod, (a, b), 3)
+        a, b, _ = prime_form(mod, splitting_type(mod, 59), 2)
+        assert basis._generator_triple(mod, (a, b), 59) == Triple(23, 13, 12, 59)
 
 
 class TestSpecialElement:
@@ -559,11 +570,11 @@ class TestAgainstScan:
                     assert (cls in table.twotorsion) == admissible, (m, p, flips)
                     if cls not in table.twotorsion:
                         with pytest.raises(NotTwoTorsionError):
-                            two_torsion_triple(mod, factors)
+                            crt_two_torsion_triple(mod, factors)
                     elif any(f[0].p == 2 for f in factors):
-                        assert two_torsion_triple(mod, factors) in scan_two_torsion_triples(mod, factors)
+                        assert crt_two_torsion_triple(mod, factors) in scan_two_torsion_triples(mod, factors)
                     else:
-                        assert [two_torsion_triple(mod, factors)] == scan_two_torsion_triples(mod, factors)
+                        assert [crt_two_torsion_triple(mod, factors)] == scan_two_torsion_triples(mod, factors)
                     shapes.add(len(moved))
         assert shapes == {1, 2}
 
@@ -782,37 +793,6 @@ class TestPillarLifts:
             assert per_prime[p] <= ceil(log2(2 * h + 1)) + 1
         # every other prime lifts only its own square
         assert sorted((p, k) for p, k in lifts if p not in pillars) == [(p, 2 + (p == 2)) for p in split if p not in pillars]
-
-
-def _outcome(route, mod, factors):
-    """The triple, or the class of the ValueError raised."""
-    try:
-        return route(mod, factors)
-    except ValueError as exc:
-        return type(exc)
-
-
-def test_two_torsion_triple_matches_crt_route():
-    # every list of one split p <= 60 (exponent 1-3, either flag) and up to
-    # two pillar factors (exponent 1-3, either flag), p a pillar included:
-    # gluing the forms' middle coefficients gives the triple, or the error,
-    # that gluing the lifted roots by CRT gives, and that composing the
-    # prime forms by united gives
-    outcomes = set()
-    for m in SWEEP + [974]:
-        mod = Modulus(m)
-        bt = BasisTable(mod)
-        options = [[(pl.info, a, conj) for a in (1, 2, 3) for conj in (False, True)] for pl in bt.pillars]
-        tails = [t for k in range(3) for opts in itertools.combinations(options, k) for t in itertools.product(*opts)]
-        for p in bt.split_primes(60):
-            info = splitting_type(mod, p)
-            for e, conj, tail in itertools.product((1, 2, 3), (False, True), tails):
-                factors = [(info, e, conj), *tail]
-                got = _outcome(two_torsion_triple, mod, factors)
-                assert got == _outcome(crt_two_torsion_triple, mod, factors), (m, factors)
-                assert got == _outcome(united_two_torsion_triple, mod, factors), (m, factors)
-                outcomes.add(got if isinstance(got, type) else Triple)
-    assert outcomes == {Triple, NotTwoTorsionError, ValueError}
 
 
 def _norm(bt, el):

@@ -163,11 +163,11 @@ class TestResidueSign:
     def test_wrong_step_raises_instead_of_looping(self, tables, monkeypatch, wrong):
         # decompose multiplies only to verify: a broken product must fail that check, not pass a wrong answer
         triples = (Triple(974, 4141, 66, 4625), recombine(tables[974], {5: 2, 41: -1, 37: 3, 11: -5}))
-        real_mul = decompose_module.mul
+        real_mul = basis_module.mul
         if wrong == "no-op":
-            monkeypatch.setattr(decompose_module, "mul", lambda m, x, y: x)
+            monkeypatch.setattr(basis_module, "mul", lambda m, x, y: x)
         else:
-            monkeypatch.setattr(decompose_module, "mul", lambda m, x, y: real_mul(m, x, (y[0], -y[1], y[2])))
+            monkeypatch.setattr(basis_module, "mul", lambda m, x, y: real_mul(m, x, (y[0], -y[1], y[2])))
         for t in triples:
             with pytest.raises(DecompositionError, match="recombination produced"):
                 decompose(tables[974], t)
@@ -221,7 +221,7 @@ class TestRecombineOracle:
         for m in ms:
             bt = BasisTable(Modulus(m))
             for vec, q in opposite_side_vectors(bt, random.Random(m), count, bound, smax):
-                a, _, c = decompose_module._product(bt, vec)
+                a, _, c = bt._product(vec)
                 assert a % q == 0 and c % q == 0, (m, vec, q)
                 t = recombine(bt, vec)
                 assert t == termwise_recombine(bt, vec), (m, vec)
@@ -275,8 +275,8 @@ class TestCheck:
                 return {**terms, p: -terms[p]}
             return {q: -s for q, s in terms.items()}
 
-        product = decompose_module._product
-        monkeypatch.setattr(decompose_module, "_product", lambda bt, terms: product(bt, mutate(terms)))
+        product = BasisTable._product
+        monkeypatch.setattr(BasisTable, "_product", lambda bt, terms: product(bt, mutate(terms)))
         for m, vec, special in self.VECTORS:
             bt = BasisTable(Modulus(m))
             t = termwise_recombine(bt, vec, special)

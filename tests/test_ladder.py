@@ -1,6 +1,6 @@
 """Powers of betas read off the ladders a BasisTable keeps.
 
-A product of basis powers (decompose._product, behind recombine and
+A product of basis powers (BasisTable._product, behind recombine and
 decompose) reads beta(p)^s off the ladder beta(p), beta(p)^2, beta(p)^4, ...
 that the table keeps and extends.  These tests pin the multiplications
 that saves, check that a warm table gives the same raw elements as a cold
@@ -22,7 +22,7 @@ from aptgroup import BasisTable, Modulus, recombine
 from aptgroup.classgroup import ClassGroupTable
 
 triples_module = importlib.import_module("aptgroup.triples")
-decompose_module = importlib.import_module("aptgroup.decompose")
+basis_module = importlib.import_module("aptgroup.basis")
 
 
 def spy_on_mul(monkeypatch, calls, pause=False):
@@ -36,13 +36,13 @@ def spy_on_mul(monkeypatch, calls, pause=False):
         return real_mul(m, x, y)
 
     monkeypatch.setattr(triples_module, "mul", spy)
-    monkeypatch.setattr(decompose_module, "mul", spy)
+    monkeypatch.setattr(basis_module, "mul", spy)
 
 
 def exact_product(bt: BasisTable, terms) -> tuple[int, int, int]:
     """prod(beta(p)^s) multiplied out one factor at a time, then divided by its full power of 2.
 
-    The oracle for decompose._product; it shares no code with triples.mul or power.
+    The oracle for BasisTable._product; it shares no code with triples.mul or power.
     """
     m = bt.mod.m
     a, b, c = 1, 0, 1
@@ -98,21 +98,21 @@ class TestWarmEqualsCold:
         group = ClassGroupTable(mod)
         warm = BasisTable(mod, table=group)
         for p in primes:
-            warm._power(p, 256)  # nine entries, one more than any exponent here needs
+            warm._product({p: 256})  # nine entries, one more than any exponent here needs
         rng = random.Random(m)
         special = m in (7, 15)
         for i, n in enumerate(self.EXPONENTS):
             vec = {primes[i % len(primes)]: n, primes[(i + 1) % len(primes)]: rng.choice(self.EXPONENTS)}
             cold = BasisTable(mod, table=group)
-            want = decompose_module._product(cold, vec)
-            assert decompose_module._product(warm, vec) == want == exact_product(cold, vec), (m, vec)
+            want = cold._product(vec)
+            assert warm._product(vec) == want == exact_product(cold, vec), (m, vec)
             s = rng.choice(self.EXPONENTS) if special else 0
             assert recombine(warm, vec, s) == termwise_recombine(cold, vec, s), (m, vec, s)
         assert all(len(warm._ladders[p]) == 9 for p in primes)
 
     def test_keys_without_a_beta(self):
         bt = BasisTable(Modulus(23))
-        bt._power(3, 256)
+        bt._product({3: 256})
         for p in (15, 5):  # composite, and inert at 23
             with pytest.raises(ValueError) as raised:
                 bt.beta(p)

@@ -6,8 +6,9 @@ Digest 14, about 0.8 s, hashes recombine and decompose where content lies
 at an odd pillar; digest 15, about 0.15 s, the betas p <= 60 at
 m = 10000019 and 10^8 + 7, whose class numbers are 1275 and 7253;
 digest 16, about 0.05 s, warm round trips whose c keeps two primes above
-the trial-division bound.
-Digests 1, 5, 9, 10 and 13 take seconds each and stay in the tool.
+the trial-division bound; digest 9, about 0.9 s, the glue and Cornacchia
+outcome of 70,164 factor lists, more than the betas themselves build.
+Digests 1, 5, 10 and 13 take seconds each and stay in the tool.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ PINNED = {
     6: "268d84c5f722ac8647d17238ed2f187f313055bd357b1d4da5a61a8e2314defb",
     7: "e2adfb11ccb35951c27e4ff9df0748d47b24c8f93d6c8f86300959bb3f7f944b",
     8: "5f8e2de6f5b5310a9f89bc2c0245559989770233698e8074429bf60f1f8104e0",
+    9: "63e6c0f19a2d819b65f0110be4820f812454f27654cd8d5438d90cd209da2207",
     11: "ef7546a3bd5f56cf011ed87b2475642f7e5596f60d51c6010dc68eb186b241a1",
     12: "292bfefeac6049eb1a057d59f796ae7d3cf78a47afd91fda8aa2686f7bb73f43",
     14: "ccaa3cb862b69d12a817ecaf100e98a799cb3c4e577ed25bdfefea0a4576cfe7",

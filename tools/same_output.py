@@ -29,8 +29,10 @@ same eighth digest means the same decomposition of 20 seeded
 recombinations per modulus with coefficients in -100..100, on every
 pillar, on a split 2 or (for m = 7, 15) the special element, and on up to
 3 split primes <= 200, at m = 7, 15, 23, 35, 974 and 614.  The same ninth
-digest means the same outcome of two_torsion_triple, the triple or the
-class of the error, on 70,164 factor lists: at every square-free m < 400
+digest means the same outcome of the glue and Cornacchia steps that build
+every beta (prime_form, basis._glue and basis._generator_triple), the
+triple or the class of the error (ValueError for a repeated prime), on
+70,164 factor lists: at every square-free m < 400
 and at m = 974, one split p <= 60 with exponent 1 to 3 and either
 conjugate flag, and up to two pillar factors with exponent 1 to 3 and
 either flag.  The same tenth digest means the same scalar_mul(n, t) for
@@ -59,8 +61,8 @@ coefficients are up to 3 and up to two split primes <= 200 with
 coefficients up to 20: at m = 35 the two lie just above 10^6, at m = 974
 in (1000, 5000), so c keeps a composite part that trial division leaves.
 It takes about ten seconds.  tests/test_same_output.py loads this file by
-path and pins digests 2, 3, 4, 6, 7, 8, 11, 12, 14, 15 and 16, which take
-about two seconds together.
+path and pins digests 2, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15 and 16, which
+take about three seconds together.
 """
 
 import contextlib
@@ -74,8 +76,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from aptgroup.basis import BasisTable, two_torsion_triple  # noqa: E402
-from aptgroup.classgroup import ClassGroupTable, PillarConfigError, quotient_setup  # noqa: E402
+from aptgroup.basis import BasisTable, NotTwoTorsionError, _generator_triple, _glue  # noqa: E402
+from aptgroup.classgroup import ClassGroupTable, PillarConfigError, prime_form, quotient_setup  # noqa: E402
 from aptgroup.cli import main as cli_main  # noqa: E402
 from aptgroup.decompose import decompose, ideal_valuations, recombine  # noqa: E402
 from aptgroup.primes import is_prime, is_squarefree  # noqa: E402
@@ -322,10 +324,26 @@ def two_torsion_records():
             info = splitting_type(mod, p)
             for e, conj, tail in itertools.product((1, 2, 3), (False, True), tails):
                 factors = [(info, e, conj), *tail]
-                try:
-                    yield factors, two_torsion_triple(mod, factors)
-                except ValueError as exc:
-                    yield factors, type(exc).__name__
+                yield factors, two_torsion_outcome(mod, factors)
+
+
+def two_torsion_outcome(mod, factors):
+    """The triple of the squared product of factors, glued and solved as beta does, or the error's class name.
+
+    factors lists (split info, exponent, conjugate); the primes must be
+    distinct, or the outcome is a ValueError.
+    """
+    if len({info.p for info, _, _ in factors}) != len(factors):
+        return "ValueError"
+    n, factor = 1, (1, mod.disc % 2)
+    for info, e, conj in factors:
+        n *= info.p**e
+        a, b, _ = prime_form(mod, info, 2 * e)
+        factor = _glue(factor, (a, -b if conj else b))
+    try:
+        return _generator_triple(mod, factor, n)
+    except NotTwoTorsionError:
+        return "NotTwoTorsionError"
 
 
 def scalar_mul_records():
