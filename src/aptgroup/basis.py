@@ -30,15 +30,16 @@ Cl^2, one glued factor per admissible pattern, and a composite beta costs
 one CRT step and one Euclid run per pattern (one, but for a tie at half a
 pillar order).  A pillar or two-torsion beta costs one Euclid run.  A
 table computes each beta(p) once, from one record of the splitting data
-of p: BasisTable.beta proves p prime, while
-elements and decompose, whose primes come from the sieve or from
-factorize, proved already, prove none.  elements classifies each sieved
-prime by that record alone: whether -m has a square root mod p tells
-whether p splits.  two_torsion_primes classifies no prime one at a time:
-the primes whose class is 2-torsion are the prime values of the ambiguous
-forms, which it enumerates.  The beta map is the package's only route from
-ideal factors to a triple.  A table also multiplies its betas (_product),
-reading each power off a ladder of squares it keeps.
+of p: BasisTable.beta proves p prime, while _proven_beta, the one answer
+for a prime already proved (by the sieve of elements or by factorize in
+decompose), proves none.  It tells what p is to the basis by that record
+alone: whether -m has a square root mod p tells whether p splits, and a
+p that does not split gets None and is kept nowhere.  two_torsion_primes
+classifies no prime one at a time: the primes whose class is 2-torsion
+are the prime values of the ambiguous forms, which it enumerates.  The
+beta map is the package's only route from ideal factors to a triple.  A
+table also multiplies its betas (_product), reading each power off a
+ladder of squares it keeps.
 The image of beta generates the triple group freely.  For m in {7, 15}
 beta(2) is the distinguished [q, r, 4] element, which BasisTable.special
 reads off the memo; no other modulus has one.
@@ -297,9 +298,15 @@ class BasisTable:
         """beta(p), computed once; raises ValueError unless p is a split prime."""
         return self._beta.get(p) or self._compute_beta(splitting_type(self.mod, p))
 
-    def _proven_beta(self, p: int) -> BasisElement:
-        """beta(p) for a p already proved prime, which is not proved again."""
-        return self._beta.get(p) or self._compute_beta(_split_info(self.mod, p))
+    def _proven_beta(self, p: int) -> BasisElement | None:
+        """beta(p) for a p already proved prime, not proved again; None, and nothing kept, unless p splits.
+
+        A kept beta costs no splitting test, any other p one _split_info.
+        """
+        el = self._beta.get(p)
+        if el is None and (info := _split_info(self.mod, p)).kind is SplitKind.SPLIT:
+            el = self._compute_beta(info)
+        return el
 
     def _product(self, terms: Mapping[int, int]) -> Element:
         """prod(beta(p)^s) in Z[sqrt(-m)], as a bare element.
@@ -425,18 +432,5 @@ class BasisTable:
         return self._beta.setdefault(p, el)
 
     def elements(self, bound: int) -> list[BasisElement]:
-        """beta(p) for every split prime p up to bound, ascending.
-
-        A prime whose beta is kept is not classified again.
-        """
-        out = []
-        for p in _sieve(bound):
-            el = self._beta.get(p)
-            if el is None:
-                info = _split_info(self.mod, p)
-                if info.kind is not SplitKind.SPLIT:
-                    continue
-                el = self._compute_beta(info)
-            out.append(el)
-        return out
-
+        """beta(p) for every split prime p up to bound, ascending (_proven_beta of each sieved p)."""
+        return [el for p in _sieve(bound) if (el := self._proven_beta(p)) is not None]

@@ -360,20 +360,17 @@ class ClassGroupTable:
         class.  The pillars, the quotient and basis all use this one.  Inert
         primes lie over <p> itself, which is principal: the identity.
         """
-        return self._class_of(splitting_type(self.mod, p))
-
-    def _class_of(self, info: PrimeSplitInfo) -> FormClass:
-        """class_of_prime of info.p, from its splitting data."""
+        info = splitting_type(self.mod, p)
         if info.kind is SplitKind.INERT:
             return self.identity
         return reduce_form(*prime_form(self.mod, info))
 
 
-class Pillar(namedtuple("Pillar", "index p info order form")):
+class Pillar(namedtuple("Pillar", "index p info order")):
     """A split prime whose class image generates one cyclic factor of the quotient.
 
     index is the 1-based position of that cyclic factor and order its
-    size; info is the splitting data of p and form its class_of_prime.
+    size; info is the splitting data of p.
     """
 
     __slots__ = ()
@@ -462,7 +459,7 @@ class QuotientData:
             if len(grown) != len(coords) * len(powers):
                 raise PillarConfigError(f"pillar prime {p} is not independent of the others")
             coords = grown
-            pillars.append(Pillar(j, p, info, len(powers), table._class_of(info)))
+            pillars.append(Pillar(j, p, info, len(powers)))
         if len(coords) != self.size:
             raise PillarConfigError(
                 f"pillar images span {len(coords)} of {self.size} quotient classes"

@@ -137,8 +137,8 @@ def cmd_generators(args) -> int:
 
 def cmd_beta(args) -> int:
     mod = Modulus(args.m)
-    splitting_type(mod, args.p)  # proves p prime before the class group is built
-    el = _get_table(args, mod)._proven_beta(args.p)
+    splitting_type(mod, args.p)  # a p that is not prime exits before the class group; beta proves it again
+    el = _get_table(args, mod).beta(args.p)
     with _any_int_length():
         print(_canonical(_element_json(el)) if args.json else _element_line(el))
     return 0

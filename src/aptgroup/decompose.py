@@ -18,8 +18,9 @@ basis powers it names must be proportional to a + b*sqrt(-m), which is
 checked by one exact cross-multiplication.  For m in {7, 15} beta(2) is
 the distinguished [q, r, 4] element (BasisTable.special), so the
 coefficient at 2 is reported separately, as that element's.
-Products of basis powers and the proved primes are the table's
-(BasisTable._product and _proven_primes); this module keeps coordinates.
+Products of basis powers, the proved primes and what each is to the basis
+are the table's (BasisTable._product, _proven_primes, pillars and
+_proven_beta); this module keeps coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Mapping
 
 from .basis import BasisTable
 from .primes import _divide_out, factorize
-from .quadfield import Modulus, SplitKind, _legendre, _split_info
+from .quadfield import Modulus, SplitKind, _split_info
 from .triples import Triple, normalize
 
 __all__ = [
@@ -126,42 +127,41 @@ def decompose(basis: BasisTable, t: Triple) -> Decomposition:
     that trial division and roots leave composite, and splits that part by
     them before any rho step, so a triple that recombine built on this
     table needs no rho, whatever RHO_BUDGET is; a triple from elsewhere may
-    still need it.  Basis elements are computed on demand, a pillar's only
-    when its coefficient is not 0, and factorize's primes are not proved
-    prime again, nor tested for splitting when their beta is already
-    built.  The returned decomposition has been verified: the one product
-    of the basis powers it names (BasisTable._product), unreduced, is
-    compared with t by cross-multiplication, which is exact because the
-    norm fixes c.  Only a failure reduces it, for the error text.
+    still need it.  Each prime of t.c but a pillar is asked of the table
+    once (BasisTable._proven_beta, which proves none again); None means an
+    inert 2, which rides along, or a prime outside L.  A pillar's beta is
+    built only when its coefficient is not 0.  The returned decomposition
+    has been verified: the one product of the basis powers it names
+    (BasisTable._product), unreduced, is compared with t by
+    cross-multiplication, which is exact because the norm fixes c.  Only a
+    failure reduces it, for the error text.
     """
     mod = basis.mod
     if t.m != mod.m:
         raise ValueError("triple does not belong to this basis")
     fac = factorize(t.c, known=basis._proven_primes())
-    vals: dict[int, int] = {}  # split prime q -> exponent of the ideal over q that t lies on
+    pillar_primes = {pl.p for pl in basis.pillars}
     coeffs: dict[int, int] = {}
     composites = []  # (coefficient, basis element) of each composite term
     for q, e in fac.items():
-        # only split primes enter the table's memo of betas
-        if q not in basis._beta and _legendre(mod, q) != 1:
+        if q in pillar_primes:
+            continue
+        el = basis._proven_beta(q)
+        if el is None:
             if q == 2:
                 # a single factor 2 may ride along when -m = 1 (mod 4)
                 # even though 2 is inert; it belongs to no prime ideal
                 continue
             raise DecompositionError(f"prime {q} divides the third component but is outside L")
-        vals[q] = e - (q == 2)
-        if q in basis._pillar_of:
-            continue
-        el = basis._proven_beta(q)
-        coeffs[q] = s = _signed(t, el.triple, q, vals[q])
+        coeffs[q] = s = _signed(t, el.triple, q, e - (q == 2))
         if el.exps:
             composites.append((s, el))
     for pl in basis.pillars:
         j = pl.index - 1
         # the exponents at the pillar of t and of the composite terms taken off it
         parts = [(-s, el.triple, el.exps[j].a) for s, el in composites if el.exps[j].a]
-        if pl.p in vals:
-            parts.append((1, t, vals[pl.p]))
+        if pl.p in fac:
+            parts.append((1, t, fac[pl.p] - (pl.p == 2)))
         if not parts:
             continue
         ref = parts[0][1]  # signs are taken on the side of one of them

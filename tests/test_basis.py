@@ -26,7 +26,7 @@ from aptgroup.classgroup import ClassGroupTable, compose_forms, prime_form, redu
 from aptgroup.fixtures import BETA23_PILLAR2, BETA23_PILLAR3, BETA974
 from aptgroup.decompose import decompose, recombine
 from aptgroup.primes import is_prime, is_squarefree
-from aptgroup.quadfield import Modulus, splitting_type
+from aptgroup.quadfield import Modulus, SplitKind, splitting_type
 from aptgroup.triples import Triple
 
 SPLIT35 = [3, 11, 13, 17, 29, 47, 71, 73, 79, 83, 97, 103, 109, 149, 151]
@@ -419,6 +419,22 @@ class TestPrimesProvedOnce:
             bt.exponent_vector(5)
 
 
+def test_proven_beta_answers_for_a_proved_prime():
+    # beta(p) when p splits, a pillar included; None when it does not, with nothing kept
+    bt, fresh = BasisTable(Modulus(155)), BasisTable(Modulus(155))
+    for q, kind in ((2, SplitKind.INERT), (7, SplitKind.INERT), (5, SplitKind.RAMIFIED), (31, SplitKind.RAMIFIED)):
+        assert splitting_type(bt.mod, q).kind is kind
+        assert bt._proven_beta(q) is None
+    assert bt._beta == {}
+    assert [pl.p for pl in bt.pillars] == [3]
+    ps = split_primes(bt.mod, 60)
+    assert ps[0] == 3 and len(ps) >= 5
+    for p in ps:
+        el = bt._proven_beta(p)
+        assert el is bt.beta(p) and el == fresh.beta(p), p
+    assert sorted(bt._beta) == ps
+
+
 class TestSievedPrimesClassifiedOnce:
     """elements classifies each sieved prime by one splitting record; two_torsion_primes by none."""
 
@@ -563,7 +579,8 @@ class TestAgainstScan:
                     cls = table.class_of_prime(p)
                     for (pl, e), conj in zip(moved, flips):
                         factors.append((pl.info, e.a, conj))
-                        cls = compose_forms(cls, form_power(table, pl.form.inverse() if conj else pl.form, e.a))
+                        form = table.class_of_prime(pl.p)
+                        cls = compose_forms(cls, form_power(table, form.inverse() if conj else form, e.a))
                     admissible = all(
                         conj == e.conj or 2 * e.a == pl.order for (pl, e), conj in zip(moved, flips)
                     )

@@ -657,7 +657,7 @@ class TestQuotient:
             exps = q.coords(f)
             acc = table.identity
             for pl, e in zip(q.pillars, exps):
-                acc = compose_forms(acc, form_power(table, pl.form, e))
+                acc = compose_forms(acc, form_power(table, table.class_of_prime(pl.p), e))
             assert compose_forms(acc, acc) == compose_forms(f, f)
 
     def test_quotient_is_memoised_per_pillar_choice(self):
@@ -899,8 +899,8 @@ def assert_matches_coset_oracle(m, override=None):
     ref = CosetQuotient(table, override)
     assert q.invariant_factors == ref.invariant_factors
     assert q.size == len(ref.cosets)
-    assert [(pl.index, pl.p, pl.order, pl.info, pl.form) for pl in q.pillars] == [
-        (j, p, o, splitting_type(table.mod, p), table.class_of_prime(p))
+    assert [(pl.index, pl.p, pl.order, pl.info) for pl in q.pillars] == [
+        (j, p, o, splitting_type(table.mod, p))
         for j, (p, o) in enumerate(ref.pillars, start=1)
     ]
     for f in table.forms:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import brute_triples, descent, double_and_add, ideal_valuation, termwise_recombine, valuation
 
-from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, primes, recombine
+from aptgroup import BasisTable, DecompositionError, Modulus, Triple, decompose, primes, quadfield, recombine
 from aptgroup.basis import Category
 from aptgroup.classgroup import ClassGroupTable
 from aptgroup.decompose import PrimeIdealRef, ideal_valuations
@@ -444,6 +444,49 @@ class TestDecompose:
             "special": 0,
             "verified": True,
         }
+
+
+class TestPrimesOfC:
+    """decompose asks its table once about each prime of c but the pillars."""
+
+    @pytest.mark.parametrize("q", [7, 487])  # at m = 974, 7 is inert and 487 ramified
+    def test_prime_outside_L_raises(self, monkeypatch, q):
+        # no primitive triple has such a prime in c, so factorize is made to report one
+        bt = BasisTable(Modulus(974))
+        assert kronecker(bt.mod, q) == (-1 if q == 7 else 0)
+        monkeypatch.setattr(decompose_module, "factorize", lambda n, known=(): {q: 1})
+        with pytest.raises(DecompositionError) as exc:
+            decompose(bt, Triple(974, 4141, 66, 4625))
+        assert str(exc.value) == f"prime {q} divides the third component but is outside L"
+        assert bt._beta == {}
+
+    def test_one_splitting_test_per_new_prime(self, monkeypatch):
+        # c = 3^2 * 5 * 37 * 41^3 * 1009, whose pillars 5 and 41 get coefficient 0
+        calls = Counter()
+
+        def counting(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        legendre = counting("_legendre", quadfield._legendre)
+        # wherever the package binds it
+        for module in (quadfield, basis_module, decompose_module):
+            if hasattr(module, "_legendre"):
+                monkeypatch.setattr(module, "_legendre", legendre)
+        monkeypatch.setattr(quadfield, "sqrt_mod", counting("sqrt_mod", quadfield.sqrt_mod))
+        vec = {3: 2, 37: -1, 1009: 1}
+        t = recombine(BasisTable(Modulus(974)), vec)
+        bt = BasisTable(Modulus(974))
+        assert factorize(t.c) == {3: 2, 5: 1, 37: 1, 41: 3, 1009: 1}
+        calls.clear()
+        assert decompose(bt, t).coefficients() == vec
+        assert calls == {"sqrt_mod": 3} and sorted(bt._beta) == [3, 37, 1009]
+        # every prime of c is now kept or a pillar
+        calls.clear()
+        assert decompose(bt, t).coefficients() == vec
+        assert calls == {}
 
 
 class TestRecombine:

@@ -40,9 +40,8 @@ VALUES = {
         "pillar_index=None, exps=(ExpEntry(j=1, a=1, conj=False), ExpEntry(j=2, a=1, conj=False)))",
     ),
     "Pillar": (
-        lambda bt: bt.pillars[0], "index p info order form", "index p info order form",
-        "Pillar(index=1, p=5, info=PrimeSplitInfo(p=5, kind=<SplitKind.SPLIT: 'split'>, root=1), "
-        "order=6, form=(5, 2, 195))",
+        lambda bt: bt.pillars[0], "index p info order", "index p info order",
+        "Pillar(index=1, p=5, info=PrimeSplitInfo(p=5, kind=<SplitKind.SPLIT: 'split'>, root=1), order=6)",
     ),
     "PrimeIdealRef": (
         lambda bt: PrimeIdealRef(41, 16, False), "p root conj", "p root conj",

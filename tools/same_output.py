@@ -60,9 +60,8 @@ decomposed on the table that built it, over two split primes whose
 coefficients are up to 3 and up to two split primes <= 200 with
 coefficients up to 20: at m = 35 the two lie just above 10^6, at m = 974
 in (1000, 5000), so c keeps a composite part that trial division leaves.
-It takes about ten seconds.  tests/test_same_output.py loads this file by
-path and pins digests 2, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15 and 16, which
-take about three seconds together.
+It takes about six seconds.  tests/test_same_output.py loads this file by
+path and pins all sixteen digests.
 """
 
 import contextlib
@@ -201,8 +200,8 @@ classgroup
 ]
 
 
-def pillars(q):
-    return [(pl.index, pl.p, pl.order, pl.info, pl.form) for pl in q.pillars]
+def pillars(table, q):
+    return [(pl.index, pl.p, pl.order, pl.info, table.class_of_prime(pl.p)) for pl in q.pillars]
 
 
 def records():
@@ -211,7 +210,7 @@ def records():
             continue
         bt = BasisTable(Modulus(m))
         q = bt.quotient
-        yield m, q.invariant_factors, q.size, pillars(q)
+        yield m, q.invariant_factors, q.size, pillars(bt.table, q)
         yield [(f, q.coords(f)) for f in bt.table.forms]
         for p in bt.split_primes(200):
             el = bt.beta(p)
@@ -223,9 +222,10 @@ def records():
         except PillarConfigError as exc:
             yield m, override, str(exc)
         else:
-            yield m, override, pillars(q), [(f, q.coords(f)) for f in table.forms]
+            yield m, override, pillars(table, q), [(f, q.coords(f)) for f in table.forms]
     for m in LARGE:
-        yield m, pillars(quotient_setup(ClassGroupTable(Modulus(m))))
+        table = ClassGroupTable(Modulus(m))
+        yield m, pillars(table, quotient_setup(table))
 
 
 def large_records():
